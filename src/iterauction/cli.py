@@ -106,6 +106,7 @@ def _cmd_run_mlca(args) -> int:
         "efficiency_loss": outcome.efficiency_loss,
         "rounds_run": outcome.rounds_run,
         "stopped_early": outcome.stopped_early,
+        "nonoptimal_queries": outcome.nonoptimal_queries,
         "elapsed_secs": outcome.elapsed_secs,
         "reports": outcome.reports.to_json_obj(),
     }, indent=2, sort_keys=True))

@@ -117,6 +117,7 @@ def _run_one(config: ExperimentConfig, mech: str, seed: int) -> dict:
         "relative_revenue": revenue / instance.optimal_welfare,
         "rounds_run": outcome.rounds_run,
         "stopped_early": outcome.stopped_early,
+        "nonoptimal_queries": outcome.nonoptimal_queries,
         "elapsed_secs": outcome.elapsed_secs,
         "payments": outcome.payments.tolist(),
         "report_counts": [outcome.reports.count(i) for i in range(instance.n)],

@@ -101,6 +101,7 @@ class AuctionOutcome:
     round_logs: list
     elapsed_secs: float
     stopped_early: bool = False
+    nonoptimal_queries: int = 0  # query WDPs whose status was not "optimal"
 
 
 def _random_novel_bundle(m: int, known: set, rng: np.random.Generator) -> np.ndarray:
@@ -159,11 +160,15 @@ def next_query(
     m: int,
     excluded_bundles: set,
     budget: SolveBudget,
+    solves: list | None = None,
 ) -> np.ndarray:
     """The bundle `bidder` receives in a welfare-maximizing allocation of
     the economy's surrogate models, constrained to differ from everything in
     `excluded_bundles` (which must contain the empty bundle so the query is
-    informative)."""
+    informative).
+
+    A solve that is not proven optimal (gap or time limit) is logged as a
+    warning; if `solves` is given, the query's WdpSolution is appended."""
     if bidder not in economy:
         raise InvalidInputError("queried bidder must belong to the economy")
     if len(excluded_bundles) >= 2**m:
@@ -171,6 +176,11 @@ def next_query(
     evaluators = [nets[i].forward for i in economy]
     exclusions = [excluded_bundles if i == bidder else None for i in economy]
     sol = solve_wdp(evaluators, m, budget=budget, exclusions=exclusions)
+    if sol.status != "optimal":
+        log.warning("query for bidder %d in economy %s: status %s, proven gap %.4g",
+                    bidder, economy, sol.status, sol.proven_gap)
+    if solves is not None:
+        solves.append(sol)
     return sol.allocation[economy.index(bidder)].astype(np.int64)
 
 
@@ -245,6 +255,7 @@ def run_mlca(instance, config: MechanismConfig, seed: int = 0) -> AuctionOutcome
 
     round_logs = []
     stopped_early = False
+    solves: list = []
     schedule_state: dict = {}
 
     def current_loss():
@@ -288,13 +299,13 @@ def run_mlca(instance, config: MechanismConfig, seed: int = 0) -> AuctionOutcome
                 for removed in schedule[i]:
                     economy = [j for j in range(n) if j != removed]
                     economies_used.append((i, removed))
-                    b = next_query(i, economy, nets, m, excluded_for(i), config.budget)
+                    b = next_query(i, economy, nets, m, excluded_for(i), config.budget, solves)
                     pending[i].add(tuple(b))
                     queries.append((i, b))
             for i in range(n):
                 economy = list(range(n))
                 economies_used.append((i, None))
-                b = next_query(i, economy, nets, m, excluded_for(i), config.budget)
+                b = next_query(i, economy, nets, m, excluded_for(i), config.budget, solves)
                 pending[i].add(tuple(b))
                 queries.append((i, b))
 
@@ -325,4 +336,5 @@ def run_mlca(instance, config: MechanismConfig, seed: int = 0) -> AuctionOutcome
         round_logs=round_logs,
         elapsed_secs=time.monotonic() - t0,
         stopped_early=stopped_early,
+        nonoptimal_queries=sum(s.status != "optimal" for s in solves),
     )

@@ -26,12 +26,6 @@ def brelu(x, t):
     return np.clip(x, 0.0, t_arr)
 
 
-def brelu_subgrad(x, t):
-    """Subgradient of brelu wrt its input: 1 on the open interval (0, t)."""
-    x = np.asarray(x, dtype=np.float64)
-    return ((x > 0) & (x < np.asarray(t))).astype(np.float64)
-
-
 @dataclass
 class MvnnParams:
     """Parameters of one monotone network.
@@ -113,16 +107,16 @@ class MvnnParams:
         if z.shape[1] != self.m:
             raise InvalidInputError(f"input length {z.shape[1]} != {self.m}")
         inp = z
-        for k in range(self.num_hidden):
-            z = brelu(z @ self.weights[k].T + self.biases[k], self.cutoffs[k])
+        for W, b, t in zip(self.weights, self.biases, self.cutoffs):
+            # the cutoff check stays per call: nets can be edited in place
+            # after validate(); min/max is brelu without its array coercion
+            if t.min() <= 0:
+                raise InvalidInputError("bounded-ReLU cutoff must be positive")
+            z = np.minimum(np.maximum(z @ W.T + b, 0.0), t)
         out = (z @ self.weights[-1].T).ravel()
         if self.skip is not None:
             out = out + inp @ self.skip
         return float(out[0]) if single else out
-
-    def evaluator(self):
-        """Batch evaluator closure for the winner-determination solvers."""
-        return self.forward
 
     def to_json_obj(self) -> dict:
         return {

@@ -107,6 +107,8 @@ def brute_force_wdp(evaluators, m: int, exclusions=None, chunk: int = 1 << 16) -
                 for e in excl[i]:
                     feasible &= ~(X == np.asarray(e, dtype=np.float64)).all(axis=1)
         welfare[~feasible] = -np.inf
+        if not feasible.any():
+            continue
         if best_w is not None and welfare.max() < best_w - WELFARE_TIE_TOL:
             continue
         cutoff = welfare.max() if best_w is None else max(welfare.max(), best_w)
@@ -132,12 +134,23 @@ class _TimeUp(Exception):
 def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=None) -> WdpSolution:
     """Branch and bound over item-to-bidder-or-nobody decisions.
 
-    The bound at a node is sum_i v_i(assigned_i plus all undecided items),
-    admissible because every value function is monotone.  Items are
-    branched in order of decreasing total single-item value; children are
-    explored best-bound first.  With a zero relative gap, nodes whose bound
-    ties the incumbent are still explored so the lexicographic tie-break
-    matches the brute-force oracle.
+    The bound at a node is sum_i v_i(S_i | U), where S_i is bidder i's
+    assigned items and U the undecided ones; it is admissible because every
+    value function is monotone.  The children's bounds are computed
+    together: deciding item j, each bidder i evaluates one 2-row batch,
+    S_i | U and S_i | U - {j}.  Child c (bidder c takes j) then has bound
+    v_c(S_c | U) + sum_{i != c} v_i(S_i | U - {j}), and the "nobody" child
+    sum_i v_i(S_i | U - {j}): n evaluator calls per node instead of one per
+    bidder per child.  Each child's bound is passed down; at depth m the
+    undecided set is empty, so the bound is the leaf's exact welfare and
+    leaves evaluate nothing.
+
+    Items are branched in order of decreasing total single-item value;
+    children are explored best-bound first.  With a zero relative gap, nodes
+    whose bound ties the incumbent are still explored so the lexicographic
+    tie-break matches the brute-force oracle.  On a time limit the proven
+    gap covers the node being expanded and every unexplored sibling on the
+    path to it.
     """
     budget = budget or SolveBudget()
     n = len(evaluators)
@@ -152,14 +165,16 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
 
     bundles = np.zeros((n, m))
     undecided = np.ones(m)
-    state = {"best_w": None, "best_alloc": None, "nodes": 0, "abandoned": 0.0}
+    pair = np.empty((n, 2, m))  # per bidder: S_i | U, S_i | U - {j}
+    # best bound among the not-yet-explored siblings at each depth
+    frontier = [-np.inf] * m
+    state = {"best_w": None, "best_alloc": None, "nodes": 0}
 
     def bound() -> float:
         X = np.minimum(bundles + undecided, 1.0)
         return float(sum(np.asarray(ev(X[i : i + 1]))[0] for i, ev in enumerate(evaluators)))
 
-    def leaf():
-        w = float(sum(np.asarray(ev(bundles[i : i + 1]))[0] for i, ev in enumerate(evaluators)))
+    def leaf(w: float):
         for i in range(n):
             if _excluded(bundles[i], excl[i]):
                 return
@@ -168,35 +183,47 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
         if _better(w, alloc.ravel(), state["best_w"], bf):
             state["best_w"], state["best_alloc"] = w, alloc
 
-    def recurse(depth: int):
-        state["nodes"] += 1
-        if time.monotonic() > deadline:
-            state["abandoned"] = max(state["abandoned"], bound())
-            raise _TimeUp
-        if depth == m:
-            leaf()
-            return
-        j = order[depth]
-        undecided[j] = 0.0
+    def child_bounds(j: int) -> list[tuple[float, int]]:
+        pair[:, 0] = bundles + undecided
+        pair[:, 1] = pair[:, 0]
+        pair[:, 1, j] = 0.0
+        with_j, without_j = [], []
+        for i, ev in enumerate(evaluators):
+            hi, lo = np.asarray(ev(pair[i]), dtype=np.float64).tolist()
+            with_j.append(hi)
+            without_j.append(lo)
         children = []
         for choice in range(n + 1):  # bidders 0..n-1, then nobody
-            if choice < n:
-                bundles[choice, j] = 1.0
-            b = bound()
-            if choice < n:
-                bundles[choice, j] = 0.0
+            b = 0.0
+            for i in range(n):  # summed in bidder order, like bound()
+                b += with_j[i] if i == choice else without_j[i]
             children.append((b, choice))
+        return children
+
+    def recurse(depth: int, node_bound: float | None):
+        state["nodes"] += 1
+        if time.monotonic() > deadline:
+            here = bound() if node_bound is None else node_bound
+            state["abandoned"] = max([here, *frontier[:depth]])
+            raise _TimeUp
+        if depth == m:
+            leaf(bound() if node_bound is None else node_bound)
+            return
+        j = order[depth]
+        children = child_bounds(j)
+        undecided[j] = 0.0
         children.sort(key=lambda c: (-c[0], c[1]))
-        for b, choice in children:
+        for k, (b, choice) in enumerate(children):
             bw = state["best_w"]
             if bw is not None:
                 if budget.relative_gap > 0 and b <= bw * (1 + budget.relative_gap):
                     continue
                 if budget.relative_gap == 0 and b <= bw - WELFARE_TIE_TOL:
                     continue
+            frontier[depth] = children[k + 1][0] if k + 1 < len(children) else -np.inf
             if choice < n:
                 bundles[choice, j] = 1.0
-            recurse(depth + 1)
+            recurse(depth + 1, b)
             if choice < n:
                 bundles[choice, j] = 0.0
         undecided[j] = 1.0
@@ -204,11 +231,14 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
     status = "optimal" if budget.relative_gap == 0 else "gap_limit"
     proven_gap = budget.relative_gap
     try:
-        recurse(0)
+        recurse(0, None)
     except _TimeUp:
         status = "time_limit"
         w = state["best_w"]
-        proven_gap = float("inf") if not w else max(0.0, state["abandoned"] / w - 1.0)
+        proven_gap = (
+            float("inf") if not w
+            else max(budget.relative_gap, state["abandoned"] / w - 1.0)
+        )
     if state["best_alloc"] is None:
         raise InvalidInputError("no feasible allocation found within the budget")
     return WdpSolution(

@@ -1,9 +1,14 @@
 """Auction loop: initial queries, novelty, round budget, VCG payments."""
 
+import itertools
+import logging
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import iterauction as ia
+from iterauction import wdp
 from iterauction.mechanism import (
     MechanismConfig,
     _marginal_schedule,
@@ -176,6 +181,29 @@ class TestRunMlca:
         out = run_mlca(inst, _fast_config(), seed=8)
         assert out.payments.tolist() == [0.0]
         assert 0.0 <= out.efficiency_loss <= 1.0
+
+    def test_exact_queries_count_as_optimal(self):
+        inst = ia.generate_instance(ia.GeneratorConfig(n=2, m=5), seed=9)
+        out = run_mlca(inst, _fast_config(early_stop=False), seed=9)
+        assert out.nonoptimal_queries == 0
+
+    def test_time_limited_queries_are_counted_and_logged(self, monkeypatch, caplog):
+        # a clock that ticks once per read: each query WDP stops after 10 nodes,
+        # which cuts most of them short
+        ticks = itertools.count()
+        monkeypatch.setattr(wdp, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+        inst = ia.generate_instance(ia.GeneratorConfig(n=2, m=6), seed=0)
+        cfg = _fast_config(early_stop=False,
+                           budget=ia.SolveBudget(relative_gap=0.0, time_limit_secs=10.5))
+        with caplog.at_level(logging.WARNING, logger="iterauction.mechanism"):
+            out = run_mlca(inst, cfg, seed=0)
+        queries = sum(len(rl.queries) for rl in out.round_logs)
+        assert queries == 2 * 2 * cfg.q_round
+        warned = [r for r in caplog.records if "time_limit" in r.getMessage()]
+        assert 0 < out.nonoptimal_queries == len(warned) <= queries
+        for i in range(2):
+            bundles = [tuple(b) for b, _ in out.reports.per_bidder[i]]
+            assert len(set(bundles)) == len(bundles)
 
     def test_config_json_round_trip(self):
         import json

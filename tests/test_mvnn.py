@@ -47,6 +47,14 @@ class TestParams:
         X = np.random.default_rng(0).random((50, 4))
         assert (p.forward(X) >= 0).all()
 
+    def test_forward_rechecks_cutoffs_edited_in_place(self):
+        p = init_params([3, 2, 1], InitHyper(), seed=1)
+        x = np.ones(3)
+        assert p.forward(x) >= 0.0
+        p.cutoffs[0][1] = 0.0
+        with pytest.raises(InvalidInputError):
+            p.forward(x)
+
     def test_json_round_trip(self):
         p = init_params([4, 3, 1], InitHyper(), seed=2, skip=True)
         q = MvnnParams.from_json(p.to_json())

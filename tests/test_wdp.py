@@ -1,11 +1,15 @@
 """Winner determination: oracles, branch and bound, MILP, LP round trip."""
 
 import itertools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import iterauction as ia
+from iterauction import wdp
 from iterauction.errors import InvalidInputError, UnsupportedSizeError
 from iterauction.mvnn import InitHyper, init_params
 from iterauction.wdp import (
@@ -84,6 +88,87 @@ class TestBranchAndBound:
         approx = solve_wdp(evs, 6, budget=SolveBudget(relative_gap=0.05))
         assert approx.objective >= exact.objective / 1.05 - 1e-9
         assert approx.status == "gap_limit"
+
+    def test_at_most_n_evaluator_calls_per_internal_node(self):
+        # n calls to rank the items by single-item value, then one 2-row
+        # batch per bidder per internal node; leaves reuse their bound
+        n, m = 3, 6
+        nets = random_nets(n, m, np.random.default_rng(5), hidden=(10,))
+        calls = []
+
+        def counted(net):
+            def ev(X):
+                calls.append(len(X))
+                return net.forward(X)
+            return ev
+
+        sol = solve_wdp([counted(p) for p in nets], m, budget=SolveBudget(relative_gap=0.0))
+        assert calls[:n] == [m] * n
+        assert all(rows == 2 for rows in calls[n:])
+        # the root is internal and at least one node is a leaf
+        assert len(calls) <= n * (sol.nodes - 1) + n
+        bf = brute_force_wdp([p.forward for p in nets], m)
+        assert sol.allocation.tolist() == bf.allocation.tolist()
+
+    @pytest.mark.parametrize("k", [12, 40, 120])
+    def test_time_limit_after_k_nodes(self, monkeypatch, k):
+        n, m = 3, 6
+        rng = np.random.default_rng(6)
+        nets = random_nets(n, m, rng, hidden=(10,))
+        evs = [p.forward for p in nets]
+        excl = [{(0,) * m, (1,) * m, (1, 1, 0, 0, 1, 1)}, None, None]
+        ticks = itertools.count()
+        # one tick per clock read: the deadline is read once, then each node
+        monkeypatch.setattr(wdp, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+        sol = solve_wdp(evs, m, budget=SolveBudget(relative_gap=0.0, time_limit_secs=k + 0.5),
+                        exclusions=excl)
+        assert sol.status == "time_limit"
+        assert sol.nodes == k + 1
+        assert math.isfinite(sol.proven_gap) and sol.proven_gap >= 0
+        assert (sol.allocation.sum(axis=0) <= 1).all()
+        assert tuple(sol.allocation[0]) not in excl[0]
+        welfare = sum(ev(sol.allocation[i : i + 1].astype(float))[0] for i, ev in enumerate(evs))
+        assert sol.objective == pytest.approx(welfare, abs=1e-9)
+        # the proven gap bounds the true optimum
+        best = brute_force_wdp(evs, m, exclusions=excl)
+        assert best.objective <= sol.objective * (1 + sol.proven_gap) + 1e-9
+
+
+@st.composite
+def wdp_instances(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 7))
+    hidden = draw(st.sampled_from([(4,), (10,)]))
+    nets = [
+        init_params([m, *hidden, 1], InitHyper(), (0.1, 1.0),
+                    seed=draw(st.integers(0, 10**6)), skip=draw(st.booleans()))
+        for _ in range(n)
+    ]
+    bundles = st.tuples(*[st.integers(0, 1)] * m)
+    exclusions = [
+        {(0,) * m} | draw(st.sets(bundles, max_size=4)) if draw(st.booleans()) else None
+        for _ in range(n)
+    ]
+    return nets, m, exclusions
+
+
+class TestBackendsAgree:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(wdp_instances())
+    def test_brute_force_branch_and_bound_and_milp_agree(self, inst):
+        nets, m, excl = inst
+        evs = [p.forward for p in nets]
+        try:
+            bf = brute_force_wdp(evs, m, exclusions=excl)
+        except InvalidInputError:  # the exclusions leave no assignment
+            with pytest.raises(InvalidInputError):
+                solve_wdp(evs, m, budget=SolveBudget(relative_gap=0.0), exclusions=excl)
+            return
+        nb = solve_wdp(evs, m, budget=SolveBudget(relative_gap=0.0), exclusions=excl)
+        assert nb.status == "optimal"
+        assert nb.objective == pytest.approx(bf.objective, abs=1e-9)
+        assert nb.allocation.tolist() == bf.allocation.tolist()
+        assert milp_wdp(nets, exclusions=excl).objective == pytest.approx(bf.objective, abs=1e-7)
 
 
 class TestMilpEncoding:
