@@ -29,10 +29,10 @@ from .wdp import SolveBudget, emit_lp_file, encode_milp, solve_wdp
 from .domain import AuctionInstance
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -129,8 +129,6 @@ def _cmd_experiment(args) -> int:
         mechanisms=obj["mechanisms"],
         mechanism_config=mcfg,
         out_dir=args.out or obj.get("out_dir", "experiment-out"),
-        quantile=obj.get("quantile", 0.95),
-        threads=args.threads,
     )
     run_experiment(config)
     return 0
@@ -157,14 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--kinds", type=str, default="additive,pairwise-synergy,coverage")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("train", help="fit the mean / upper-bound / exact-bound triple")
     p.add_argument("--reports", type=str, required=True)
     p.add_argument("--hidden-dims", type=str, default="10,10")
     p.add_argument("--epochs", type=int, default=100)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("solve-wdp", help="winner determination on an instance file")
@@ -184,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-mlca", help="run the full iterative auction")
     p.add_argument("--instance", type=str, required=True)
     p.add_argument("--config", type=str, default=None)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=_cmd_run_mlca)
 
     p = sub.add_parser("experiment", help="multi-seed mechanism comparison")

@@ -95,8 +95,6 @@ class ExperimentConfig:
     mechanisms: list  # acquisition names; the first is the baseline
     mechanism_config: MechanismConfig = field(default_factory=MechanismConfig)
     out_dir: str = "experiment-out"
-    quantile: float = 0.95
-    threads: int = 1
 
     def __post_init__(self):
         if not self.seeds or not self.mechanisms:
@@ -138,7 +136,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     write `summary.csv`, `per_seed.csv` and `comparison.csv`."""
     out = Path(config.out_dir)
     (out / "results").mkdir(parents=True, exist_ok=True)
-    results: dict[str, list[dict]] = {mech: [] for mech in config.mechanisms}
 
     def load_or_run(mech, seed):
         path = out / "results" / f"{mech}_seed{seed}.json"
@@ -148,19 +145,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
         rec = _run_one(config, mech, seed)
         log.info("%s seed %d: loss %.4f in %.1fs", mech, seed,
                  rec["efficiency_loss"], time.monotonic() - t0)
-        path.write_text(json.dumps(rec, indent=2, sort_keys=True))
+        # an interrupt leaves at most a stale temp file, never a truncated result
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text(json.dumps(rec, indent=2, sort_keys=True))
+        os.replace(tmp, path)
         return rec
 
-    jobs = [(mech, seed) for mech in config.mechanisms for seed in config.seeds]
-    if config.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            recs = list(pool.map(lambda js: load_or_run(*js), jobs))
-    else:
-        recs = [load_or_run(*js) for js in jobs]
-    for (mech, _), rec in zip(jobs, recs):
-        results[mech].append(rec)
+    results = {
+        mech: [load_or_run(mech, seed) for seed in config.seeds] for mech in config.mechanisms
+    }
 
     with (out / "paths.csv").open("w", newline="") as fh:
         w = csv.writer(fh)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import ReportSet
+from .domain import ReportSet, efficiency_loss
 from .errors import ExhaustedBidderError, InvalidInputError
 from .mvnn import InitHyper, MvnnParams
 from .training import TrainHyper, train_mean
@@ -39,7 +39,7 @@ class MechanismConfig:
     init_hyper: InitHyper = field(default_factory=InitHyper)
     train_hyper: TrainHyper = field(default_factory=lambda: TrainHyper(epochs=60))
     nomu_hyper: NomuHyper = field(default_factory=NomuHyper)
-    budget: SolveBudget = field(default_factory=SolveBudget)
+    budget: SolveBudget = field(default_factory=lambda: SolveBudget(relative_gap=0.0))
     skip: bool = False
     early_stop: bool = True
 
@@ -128,29 +128,23 @@ def initial_queries(m: int, q_init: int, rng: np.random.Generator) -> list[np.nd
     return bundles
 
 
-def fit_bidder_models(reports_i, config: MechanismConfig, seed: int):
-    """Train what the configured acquisition needs; returns a dict with
-    whichever of mean_net / uub_net / exact_net apply."""
-    out = {}
+def fit_bidder_models(reports_i, config: MechanismConfig, seed: int) -> MvnnParams:
+    """Train what the configured acquisition needs and return the network
+    whose welfare the bidder's queries maximize."""
     m = len(reports_i[0][0])
     dims = [m, *config.hidden_dims, 1]
-    if config.acquisition in ("uub", "exact-uub"):
-        out["exact_net"] = build_exact_uub(reports_i)
-    if config.acquisition in ("uub", "mean"):
-        out["mean_net"] = train_mean(
-            reports_i, dims, config.init_hyper, config.train_hyper,
-            seed=seed, skip=config.skip,
-        )
-    if config.acquisition == "uub":
-        out["uub_net"] = train_uub(
-            reports_i, out["mean_net"], out["exact_net"], config.nomu_hyper,
-            config.train_hyper, config.init_hyper, dims, seed=seed, skip=config.skip,
-        )
-    return out
-
-
-def _acquisition_net(models: dict, acquisition: str) -> MvnnParams:
-    return models[{"uub": "uub_net", "exact-uub": "exact_net", "mean": "mean_net"}[acquisition]]
+    exact = None if config.acquisition == "mean" else build_exact_uub(reports_i)
+    if config.acquisition == "exact-uub":
+        return exact
+    mean = train_mean(
+        reports_i, dims, config.init_hyper, config.train_hyper, seed=seed, skip=config.skip,
+    )
+    if config.acquisition == "mean":
+        return mean
+    return train_uub(
+        reports_i, mean, exact, config.nomu_hyper, config.train_hyper, config.init_hyper,
+        dims, seed=seed, skip=config.skip,
+    )
 
 
 def next_query(
@@ -258,14 +252,8 @@ def run_mlca(instance, config: MechanismConfig, seed: int = 0) -> AuctionOutcome
     solves: list = []
     schedule_state: dict = {}
 
-    def current_loss():
-        sol = solve_reported_wdp(reports)
-        from .domain import efficiency_loss
-
-        return sol, efficiency_loss(sol.allocation, instance)
-
+    loss = efficiency_loss(solve_reported_wdp(reports).allocation, instance) if config.rounds else None
     for r in range(config.rounds):
-        sol, loss = current_loss()
         if config.early_stop and loss == 0.0:
             stopped_early = True
             log.info("round %d: zero efficiency loss, stopping early", r)
@@ -282,11 +270,10 @@ def run_mlca(instance, config: MechanismConfig, seed: int = 0) -> AuctionOutcome
                     known.add(tuple(b))
                     queries.append((i, b))
         else:
-            models = {
+            nets = {
                 i: fit_bidder_models(reports.per_bidder[i], config, seed=seed * 1000 + r * 10 + i)
                 for i in range(n)
             }
-            nets = {i: _acquisition_net(models[i], config.acquisition) for i in range(n)}
 
             def excluded_for(i: int) -> set:
                 out = {tuple(np.zeros(m, dtype=np.int64))}
@@ -311,7 +298,8 @@ def run_mlca(instance, config: MechanismConfig, seed: int = 0) -> AuctionOutcome
 
         for i, b in queries:
             ask(i, b)
-        sol, loss = current_loss()
+        sol = solve_reported_wdp(reports)
+        loss = efficiency_loss(sol.allocation, instance)
         round_logs.append(
             RoundLog(
                 round_index=r,
@@ -324,8 +312,6 @@ def run_mlca(instance, config: MechanismConfig, seed: int = 0) -> AuctionOutcome
         log.info("round %d: welfare %.4f, efficiency loss %.4f", r, sol.objective, loss)
 
     allocation, payments = vcg_payments(reports)
-    from .domain import efficiency_loss
-
     final_loss = efficiency_loss(allocation, instance)
     return AuctionOutcome(
         allocation=allocation,

@@ -9,12 +9,12 @@ at exactly 0 and exactly the cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .mvnn import MvnnParams
+from .mvnn import MvnnParams, init_params
 
 CUTOFF_FLOOR = 1e-3
 
@@ -224,13 +224,14 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 
-def mean_loss_and_grads(params: MvnnParams, X, y, hyper: TrainHyper):
-    """Smooth-L1 data loss (batch mean) plus L2 penalty, with gradients."""
-    out, O, Z = forward_cache(params, X)
+def mean_loss_and_grads(params: MvnnParams, X, y, hyper: TrainHyper, masks=None):
+    """Smooth-L1 data loss (batch mean) plus L2 penalty, with gradients;
+    ``masks`` are optional dropout multipliers as in :func:`forward_cache`."""
+    out, O, Z = forward_cache(params, X, masks)
     B = X.shape[0]
     data = float(smooth_l1(out, y, hyper.smooth_l1_beta).mean())
     out_grad = smooth_l1_grad(out, y, hyper.smooth_l1_beta) / B
-    g = backward(params, X, O, Z, out_grad)
+    g = backward(params, X, O, Z, out_grad, masks)
     reg = add_l2_grads(g, params, hyper.l2_lambda)
     return data + reg, g
 
@@ -253,30 +254,26 @@ def _dropout_masks(params: MvnnParams, B: int, p: float, rng) -> list[np.ndarray
     return masks
 
 
-def _train_once(reports_x, reports_y, params: MvnnParams, hyper: TrainHyper, rng):
-    X = np.asarray(reports_x, dtype=np.float64)
-    y = np.asarray(reports_y, dtype=np.float64)
+def _train_loop(params: MvnnParams, X, y, hyper: TrainHyper, rng, batch_grads, score):
+    """Adam over shuffled mini-batches of (X, y); returns the parameters and
+    score of the epoch (the start counting as epoch 0) with the lowest
+    ``score(params)``.  ``batch_grads(params, xb, yb, p_drop)`` returns one
+    batch's gradients at the current, decayed dropout probability."""
     n = X.shape[0]
     bs = hyper.batch_size or n
     opt = Adam(params, hyper)
     best = params.copy()
-    best_loss = float(np.abs(params.forward(X) - y).mean())
+    best_loss = score(params)
     p_drop = hyper.dropout_p
     for _ in range(hyper.epochs):
         order = rng.permutation(n)
         for s in range(0, n, bs):
             idx = order[s : s + bs]
-            xb, yb = X[idx], y[idx]
-            masks = _dropout_masks(params, xb.shape[0], p_drop, rng)
-            out, O, Z = forward_cache(params, xb, masks)
-            out_grad = smooth_l1_grad(out, yb, hyper.smooth_l1_beta) / xb.shape[0]
-            g = backward(params, xb, O, Z, out_grad, masks)
-            add_l2_grads(g, params, hyper.l2_lambda)
-            opt.step(g)
+            opt.step(batch_grads(params, X[idx], y[idx], p_drop))
         p_drop *= hyper.dropout_decay
-        epoch_loss = float(np.abs(params.forward(X) - y).mean())
-        if epoch_loss < best_loss:
-            best_loss = epoch_loss
+        cur = score(params)
+        if cur < best_loss:
+            best_loss = cur
             best = params.copy()
     return best, best_loss
 
@@ -294,19 +291,25 @@ def train_mean(
     Keeps the best epoch by training MAE and retrains once from a fresh seed
     when the training R^2 ends below the configured threshold.
     """
-    from .mvnn import init_params
-
     if not reports:
         raise InvalidInputError("cannot train on an empty report list")
     X = np.stack([np.asarray(b, dtype=np.float64) for b, _ in reports])
     y = np.asarray([v for _, v in reports], dtype=np.float64)
+
+    def train_mae(p):
+        return float(np.abs(p.forward(X) - y).mean())
 
     def attempt(s):
         rng = np.random.default_rng(s)
         params = init_params(
             layer_dims, init_hyper, train_hyper.cutoff_init_range, rng, skip=skip
         )
-        return _train_once(X, y, params, train_hyper, rng)
+
+        def batch_grads(p, xb, yb, p_drop):
+            masks = _dropout_masks(p, xb.shape[0], p_drop, rng)
+            return mean_loss_and_grads(p, xb, yb, train_hyper, masks)[1]
+
+        return _train_loop(params, X, y, train_hyper, rng, batch_grads, train_mae)
 
     best, best_mae = attempt(seed)
     if r_squared(best.forward(X), y) < train_hyper.retrain_r2_threshold:

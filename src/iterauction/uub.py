@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .mvnn import MvnnParams
+from .mvnn import MvnnParams, init_params
 from .training import (
-    Adam,
-    Grads,
     TrainHyper,
+    _dropout_masks,
+    _train_loop,
     add_l2_grads,
     backward,
     forward_cache,
@@ -177,6 +177,44 @@ class UubTriple:
         )
 
 
+def _loss_terms(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta: float,
+                grads: bool = True) -> dict:
+    """Each loss term as (value, d/d out_tr, d/d out_art), in summation
+    order.  A gradient is 0.0 where the term does not depend on that
+    output, and every gradient is 0.0 when ``grads`` is false."""
+    n_art = out_art.shape[0]
+
+    def hinge(excess, pi, sign):
+        # soft penalty on the positive part of `excess`; d excess/d out_art = sign
+        c = hyper.mu_exp * hyper.c_exp * pi
+        pos = np.maximum(excess, 0.0)
+        value = c * float(smooth_l1(pos, 0.0, beta).mean())
+        return value, 0.0, (sign * c / n_art * smooth_l1_grad(pos, 0.0, beta) * (excess > 0)
+                            if grads else 0.0)
+
+    terms = {"data": (hyper.mu_sqr * float(smooth_l1(out_tr, y, beta).sum()),
+                      hyper.mu_sqr * smooth_l1_grad(out_tr, y, beta) if grads else 0.0, 0.0)}
+    s = np.minimum(out_art, exact_art) - mean_art
+    if hyper.loss_variant == "main-paper":
+        arg = -hyper.c_exp * s
+    else:
+        arg = 0.01 - hyper.c_exp * s
+    d_push = (hyper.mu_exp * g_gate_grad(arg) / n_art * (-hyper.c_exp) * (out_art < exact_art)
+              if grads else 0.0)
+    terms["push_up"] = (hyper.mu_exp * float(g_gate(arg).mean()), 0.0, d_push)
+    terms["below_exact"] = hinge(out_art - exact_art, hyper.pi_uub, 1.0)
+    terms["above_mean"] = hinge(mean_art - out_art, hyper.pi_mean, -1.0)
+    if hyper.loss_variant == "appendix-detailed":
+        over = np.maximum(out_tr - y, 0.0)
+        terms["stability"] = (
+            hyper.mu_sqr * float((0.001 * over + 0.5 * smooth_l1(over, 0.0, beta)).sum()),
+            hyper.mu_sqr * (0.001 + 0.5 * smooth_l1_grad(over, 0.0, beta)) * (out_tr > y)
+            if grads else 0.0,
+            0.0,
+        )
+    return terms
+
+
 def nomu_loss_terms(
     uub_net: MvnnParams,
     mean_net: MvnnParams,
@@ -196,37 +234,11 @@ def nomu_loss_terms(
     """
     if X.shape[0] == 0:
         raise InvalidInputError("empty training batch")
-    u_tr = uub_net.forward(X)
-    u_art = uub_net.forward(X_art)
-    mean_art = mean_net.forward(X_art)
-    exact_art = exact_net.forward(X_art)
-
-    terms = {}
-    terms["data"] = hyper.mu_sqr * float(smooth_l1(u_tr, y, beta).sum())
-    s = np.minimum(u_art, exact_art) - mean_art
-    if hyper.loss_variant == "main-paper":
-        arg = -hyper.c_exp * s
-    else:
-        arg = 0.01 - hyper.c_exp * s
-    terms["push_up"] = hyper.mu_exp * float(g_gate(arg).mean())
-    terms["below_exact"] = (
-        hyper.mu_exp
-        * hyper.c_exp
-        * hyper.pi_uub
-        * float(smooth_l1(np.maximum(u_art - exact_art, 0.0), 0.0, beta).mean())
+    terms = _loss_terms(
+        uub_net.forward(X), uub_net.forward(X_art), y,
+        mean_net.forward(X_art), exact_net.forward(X_art), hyper, beta, grads=False,
     )
-    terms["above_mean"] = (
-        hyper.mu_exp
-        * hyper.c_exp
-        * hyper.pi_mean
-        * float(smooth_l1(np.maximum(mean_art - u_art, 0.0), 0.0, beta).mean())
-    )
-    if hyper.loss_variant == "appendix-detailed":
-        over = np.maximum(u_tr - y, 0.0)
-        terms["stability"] = hyper.mu_sqr * float(
-            (0.001 * over + 0.5 * smooth_l1(over, 0.0, beta)).sum()
-        )
-    return terms
+    return {name: value for name, (value, _, _) in terms.items()}
 
 
 def nomu_loss(
@@ -253,48 +265,21 @@ def nomu_loss_and_grads(
     Only ``uub_net`` receives gradients.  ``only_term`` restricts the result
     to a single named term (no L2), used by the finite-difference checks.
     """
-    beta = train_hyper.smooth_l1_beta
     out_tr, O_tr, Z_tr = forward_cache(uub_net, X, masks)
     out_art, O_art, Z_art = forward_cache(uub_net, X_art, art_masks)
-    mean_art = mean_net.forward(X_art)
-    exact_art = exact_net.forward(X_art)
-    n_art = X_art.shape[0]
-
-    include = (lambda name: name == only_term) if only_term else (lambda name: True)
+    terms = _loss_terms(
+        out_tr, out_art, y, mean_net.forward(X_art), exact_net.forward(X_art),
+        hyper, train_hyper.smooth_l1_beta,
+    )
     loss = 0.0
     gout_tr = np.zeros_like(out_tr)
     gout_art = np.zeros_like(out_art)
-
-    if include("data"):
-        loss += hyper.mu_sqr * float(smooth_l1(out_tr, y, beta).sum())
-        gout_tr += hyper.mu_sqr * smooth_l1_grad(out_tr, y, beta)
-    if include("push_up"):
-        s = np.minimum(out_art, exact_art) - mean_art
-        if hyper.loss_variant == "main-paper":
-            arg = -hyper.c_exp * s
-        else:
-            arg = 0.01 - hyper.c_exp * s
-        loss += hyper.mu_exp * float(g_gate(arg).mean())
-        d_arg = hyper.mu_exp * g_gate_grad(arg) / n_art
-        gout_art += d_arg * (-hyper.c_exp) * (out_art < exact_art)
-    if include("below_exact"):
-        c = hyper.mu_exp * hyper.c_exp * hyper.pi_uub
-        over = np.maximum(out_art - exact_art, 0.0)
-        loss += c * float(smooth_l1(over, 0.0, beta).mean())
-        gout_art += c / n_art * smooth_l1_grad(over, 0.0, beta) * (out_art > exact_art)
-    if include("above_mean"):
-        c = hyper.mu_exp * hyper.c_exp * hyper.pi_mean
-        under = np.maximum(mean_art - out_art, 0.0)
-        loss += c * float(smooth_l1(under, 0.0, beta).mean())
-        gout_art -= c / n_art * smooth_l1_grad(under, 0.0, beta) * (mean_art > out_art)
-    if hyper.loss_variant == "appendix-detailed" and include("stability"):
-        over = np.maximum(out_tr - y, 0.0)
-        loss += hyper.mu_sqr * float((0.001 * over + 0.5 * smooth_l1(over, 0.0, beta)).sum())
-        gout_tr += (
-            hyper.mu_sqr
-            * (0.001 + 0.5 * smooth_l1_grad(over, 0.0, beta))
-            * (out_tr > y)
-        )
+    for name, (value, d_tr, d_art) in terms.items():
+        if only_term and name != only_term:
+            continue
+        loss += value
+        gout_tr += d_tr
+        gout_art += d_art
 
     g = backward(uub_net, X, O_tr, Z_tr, gout_tr, masks)
     g_art = backward(uub_net, X_art, O_art, Z_art, gout_art, art_masks)
@@ -321,9 +306,6 @@ def train_uub(
     every batch; best-epoch parameters are kept, scored on a fixed
     artificial sample so the selection criterion is not itself noisy.
     """
-    from .mvnn import init_params
-    from .training import _dropout_masks
-
     if not reports:
         raise InvalidInputError("cannot train on an empty report list")
     rng = np.random.default_rng(seed)
@@ -334,33 +316,18 @@ def train_uub(
 
     X_eval = rng.uniform(0.0, 1.0, size=(max(nomu_hyper.n_art, 128), m))
 
-    def eval_loss(p):
+    def batch_grads(p, xb, yb, p_drop):
+        X_art = rng.uniform(0.0, 1.0, size=(nomu_hyper.n_art, m))
+        masks = _dropout_masks(p, xb.shape[0], p_drop, rng)
+        art_masks = _dropout_masks(p, X_art.shape[0], p_drop, rng)
+        return nomu_loss_and_grads(
+            p, mean_net, exact_net, xb, yb, X_art, nomu_hyper, train_hyper, masks, art_masks
+        )[1]
+
+    def score(p):
         return nomu_loss(p, mean_net, exact_net, X, y, X_eval, nomu_hyper,
                          train_hyper.smooth_l1_beta)
 
-    n = X.shape[0]
-    bs = train_hyper.batch_size or n
-    opt = Adam(params, train_hyper)
-    best = params.copy()
-    best_loss = eval_loss(params)
-    p_drop = train_hyper.dropout_p
-    for _ in range(train_hyper.epochs):
-        order = rng.permutation(n)
-        for s in range(0, n, bs):
-            idx = order[s : s + bs]
-            xb, yb = X[idx], y[idx]
-            X_art = rng.uniform(0.0, 1.0, size=(nomu_hyper.n_art, m))
-            masks = _dropout_masks(params, xb.shape[0], p_drop, rng)
-            art_masks = _dropout_masks(params, X_art.shape[0], p_drop, rng)
-            _, g = nomu_loss_and_grads(
-                params, mean_net, exact_net, xb, yb, X_art, nomu_hyper, train_hyper,
-                masks, art_masks,
-            )
-            opt.step(g)
-        p_drop *= train_hyper.dropout_decay
-        cur = eval_loss(params)
-        if cur < best_loss:
-            best_loss = cur
-            best = params.copy()
+    best, _ = _train_loop(params, X, y, train_hyper, rng, batch_grads, score)
     best.validate()
     return best

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import AuctionInstance, as_bundle
-from .errors import InvalidInputError
+from .errors import InvalidInputError, UnsupportedSizeError
 
 KINDS = ("additive", "pairwise-synergy", "coverage")
 
@@ -165,7 +165,7 @@ def _random_model(kind: str, m: int, cfg: GeneratorConfig, rng: np.random.Genera
 
 def generate_instance(config: GeneratorConfig, seed: int) -> AuctionInstance:
     """Deterministically generate an instance and cache its exact optimum."""
-    from .wdp import brute_force_wdp, solve_wdp, SolveBudget
+    from .wdp import BRUTE_FORCE_LIMIT, SolveBudget, brute_force_wdp, solve_wdp
 
     rng = np.random.default_rng(seed)
     models = [
@@ -173,10 +173,12 @@ def generate_instance(config: GeneratorConfig, seed: int) -> AuctionInstance:
         for i in range(config.n)
     ]
     evaluators = [vm.value_batch for vm in models]
-    if (config.n + 1) ** config.m <= 10**7:
+    if (config.n + 1) ** config.m <= BRUTE_FORCE_LIMIT:
         sol = brute_force_wdp(evaluators, config.m)
     else:
         sol = solve_wdp(evaluators, config.m, budget=SolveBudget(relative_gap=0.0))
+        if sol.status != "optimal":
+            raise UnsupportedSizeError(f"optimum not proven within the time limit ({sol.status})")
     return AuctionInstance(
         n=config.n,
         m=config.m,

@@ -423,41 +423,31 @@ def encode_milp(nets: list[MvnnParams], exclusions=None, prune: bool = True) -> 
                     new_z.append(o)
                     continue
                 z = model.add_var(f"z_{tag}", max(0.0, l), min(t, u))
+                # indicators alpha = [o > 0], beta = [o > t]; prune fixes
+                # alpha = 1 when only the linear band and saturation are
+                # reachable, beta = 0 when only off and the linear band are
+                alpha = beta = None
                 if prune and 0 <= l <= t < u:
-                    # reachable states: linear band or saturated; alpha = 1
                     model.prune_log.append((i, k, j, "alpha-fixed"))
-                    beta = model.add_var(f"beta_{tag}", 0, 1, integer=True)
-                    c2, k2 = _affine_sum([(1.0, _affine({z: 1.0})), (-1.0, o)])
-                    model.add_constraint(f"n{tag}_ub2", c2, -np.inf, -k2)
-                    model.add_constraint(f"n{tag}_lb1", {z: 1.0, beta: -t}, 0.0, np.inf)
-                    c4, k4 = _affine_sum([(1.0, _affine({z: 1.0})), (-1.0, o)])
-                    c4[beta] = c4.get(beta, 0.0) - (t - u)
-                    model.add_constraint(f"n{tag}_lb2", c4, -k4, np.inf)
-                    new_z.append(_affine({z: 1.0}))
-                    continue
-                if prune and l <= 0 < u <= t:
-                    # reachable states: off or linear band; beta = 0
-                    model.prune_log.append((i, k, j, "beta-fixed"))
+                else:
                     alpha = model.add_var(f"alpha_{tag}", 0, 1, integer=True)
+                if prune and l <= 0 < u <= t:
+                    model.prune_log.append((i, k, j, "beta-fixed"))
+                else:
+                    beta = model.add_var(f"beta_{tag}", 0, 1, integer=True)
+                z_minus_o, k_zo = _affine_sum([(1.0, _affine({z: 1.0})), (-1.0, o)])
+                # z <= alpha t and z <= o - l (1 - alpha)
+                ub2, rhs2 = dict(z_minus_o), -k_zo
+                if alpha is not None:
                     model.add_constraint(f"n{tag}_ub1", {z: 1.0, alpha: -t}, -np.inf, 0.0)
-                    c2, k2 = _affine_sum([(1.0, _affine({z: 1.0})), (-1.0, o)])
-                    c2[alpha] = c2.get(alpha, 0.0) - l
-                    model.add_constraint(f"n{tag}_ub2", c2, -np.inf, -k2 - l)
-                    c4, k4 = _affine_sum([(1.0, _affine({z: 1.0})), (-1.0, o)])
-                    model.add_constraint(f"n{tag}_lb2", c4, -k4, np.inf)
-                    new_z.append(_affine({z: 1.0}))
-                    continue
-                # general neuron: both indicator binaries
-                alpha = model.add_var(f"alpha_{tag}", 0, 1, integer=True)
-                beta = model.add_var(f"beta_{tag}", 0, 1, integer=True)
-                model.add_constraint(f"n{tag}_ub1", {z: 1.0, alpha: -t}, -np.inf, 0.0)
-                c2, k2 = _affine_sum([(1.0, _affine({z: 1.0})), (-1.0, o)])
-                c2[alpha] = c2.get(alpha, 0.0) - l
-                model.add_constraint(f"n{tag}_ub2", c2, -np.inf, -k2 - l)
-                model.add_constraint(f"n{tag}_lb1", {z: 1.0, beta: -t}, 0.0, np.inf)
-                c4, k4 = _affine_sum([(1.0, _affine({z: 1.0})), (-1.0, o)])
-                c4[beta] = c4.get(beta, 0.0) - (t - u)
-                model.add_constraint(f"n{tag}_lb2", c4, -k4, np.inf)
+                    ub2[alpha], rhs2 = -l, rhs2 - l
+                model.add_constraint(f"n{tag}_ub2", ub2, -np.inf, rhs2)
+                # z >= beta t and z >= o + (t - u) beta
+                lb2 = dict(z_minus_o)
+                if beta is not None:
+                    model.add_constraint(f"n{tag}_lb1", {z: 1.0, beta: -t}, 0.0, np.inf)
+                    lb2[beta] = -(t - u)
+                model.add_constraint(f"n{tag}_lb2", lb2, -k_zo, np.inf)
                 new_z.append(_affine({z: 1.0}))
             zexpr = new_z
         terms = [(float(net.weights[-1][0, j]), zexpr[j]) for j in range(len(zexpr))]

@@ -1,6 +1,7 @@
 """Experiment harness: metric, statistics, determinism, resumability."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,3 +109,20 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         losses = [r["efficiency_loss"] for r in report["results"]["random"]]
         assert 0.31337 in losses
+
+    def test_resumes_after_interrupted_result_write(self, tmp_path, monkeypatch):
+        real_write_text = Path.write_text
+
+        def interrupted(self, text, *args, **kwargs):
+            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise KeyboardInterrupt
+
+        cfg = _tiny_experiment(tmp_path)
+        monkeypatch.setattr(Path, "write_text", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg)
+        monkeypatch.undo()
+        assert list((tmp_path / "exp" / "results").iterdir()), "the write left a partial file"
+        report = run_experiment(cfg)
+        assert [len(report["results"][mech]) for mech in cfg.mechanisms] == [2, 2]
+        assert len(list((tmp_path / "exp" / "results").glob("*.json"))) == 4

@@ -187,6 +187,12 @@ class TestRunMlca:
         out = run_mlca(inst, _fast_config(early_stop=False), seed=9)
         assert out.nonoptimal_queries == 0
 
+    def test_default_config_queries_are_exact(self):
+        inst = ia.generate_instance(ia.GeneratorConfig(n=2, m=5), seed=1)
+        out = run_mlca(inst, MechanismConfig(), seed=1)
+        assert sum(len(rl.queries) for rl in out.round_logs) > 0
+        assert out.nonoptimal_queries == 0
+
     def test_time_limited_queries_are_counted_and_logged(self, monkeypatch, caplog):
         # a clock that ticks once per read: each query WDP stops after 10 nodes,
         # which cuts most of them short

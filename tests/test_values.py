@@ -1,9 +1,11 @@
 """Synthetic value-model generators: monotone, normalized, serializable."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import iterauction as ia
+from iterauction import wdp
 from iterauction.values import ValueModel, _normalized
 
 
@@ -62,6 +64,17 @@ class TestProperties:
         evs = [vm.value_batch for vm in inst.values]
         bf = ia.brute_force_wdp(evs, inst.m)
         assert abs(bf.objective - inst.optimal_welfare) <= 1e-9
+
+    def test_unproven_optimum_is_rejected(self, monkeypatch):
+        # (4 + 1)^11 assignments exceed the brute-force limit, so the
+        # generator falls back to branch and bound
+        def timed_out(evaluators, m, budget=None, exclusions=None):
+            return wdp.WdpSolution(allocation=np.zeros((len(evaluators), m), dtype=np.int64),
+                                   objective=0.0, status="time_limit", proven_gap=float("inf"))
+
+        monkeypatch.setattr(wdp, "solve_wdp", timed_out)
+        with pytest.raises(ia.UnsupportedSizeError):
+            ia.generate_instance(ia.GeneratorConfig(n=4, m=11), seed=0)
 
     def test_batch_matches_scalar(self):
         inst = ia.generate_instance(ia.GeneratorConfig(n=1, m=5), seed=2)
