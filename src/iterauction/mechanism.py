@@ -75,10 +75,6 @@ class MechanismConfig:
                 obj[key] = typ(**obj[key])
         if "hidden_dims" in obj:
             obj["hidden_dims"] = tuple(obj["hidden_dims"])
-        if "train_hyper" in obj and isinstance(obj["train_hyper"], TrainHyper):
-            th = obj["train_hyper"]
-            if isinstance(th.cutoff_init_range, list):
-                th.cutoff_init_range = tuple(th.cutoff_init_range)
         return cls(**obj)
 
 
@@ -282,16 +278,11 @@ def run_mlca(instance, config: MechanismConfig, seed: int = 0) -> AuctionOutcome
                 return out
 
             schedule = _marginal_schedule(n, config.q_round, schedule_state)
-            for i in range(n):
-                for removed in schedule[i]:
-                    economy = [j for j in range(n) if j != removed]
-                    economies_used.append((i, removed))
-                    b = next_query(i, economy, nets, m, excluded_for(i), config.budget, solves)
-                    pending[i].add(tuple(b))
-                    queries.append((i, b))
-            for i in range(n):
-                economy = list(range(n))
-                economies_used.append((i, None))
+            # every bidder's marginal economies first, then the main economy
+            picks = [(i, removed) for i in range(n) for removed in schedule[i]]
+            for i, removed in picks + [(i, None) for i in range(n)]:
+                economy = [j for j in range(n) if j != removed]
+                economies_used.append((i, removed))
                 b = next_query(i, economy, nets, m, excluded_for(i), config.budget, solves)
                 pending[i].add(tuple(b))
                 queries.append((i, b))

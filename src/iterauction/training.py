@@ -9,6 +9,8 @@ at exactly 0 and exactly the cutoff.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,7 @@ class TrainHyper:
     retrain_r2_threshold: float = 0.9
 
     def __post_init__(self):
+        self.cutoff_init_range = tuple(self.cutoff_init_range)
         if self.learning_rate <= 0 or self.epochs < 1:
             raise InvalidInputError("learning rate and epochs must be positive")
         if not (0 <= self.dropout_p <= 0.8):
@@ -73,7 +76,7 @@ def forward_cache(params: MvnnParams, X: np.ndarray, masks=None):
     z = X
     for k in range(params.num_hidden):
         o = z @ params.weights[k].T + params.biases[k]
-        z = np.clip(o, 0.0, params.cutoffs[k])
+        z = np.minimum(np.maximum(o, 0.0), params.cutoffs[k])
         if masks is not None:
             z = z * masks[k]
         O.append(o)
@@ -84,65 +87,84 @@ def forward_cache(params: MvnnParams, X: np.ndarray, masks=None):
     return out, O, Z
 
 
-@dataclass
+def _optional(skip) -> list:
+    return [] if skip is None else [skip]
+
+
+class _Layout:
+    """Where one architecture's parameters sit in a flat float64 vector,
+    ordered [weights | skip | biases | cutoffs]: the entries kept >= 0 are
+    ``[:n_pos]``, the L2-penalised ones ``[:n_reg]`` and the cutoffs
+    ``[n_reg:]``."""
+
+    def __init__(self, weight_shapes: tuple, has_skip: bool):
+        hidden = [(shape[0],) for shape in weight_shapes[:-1]]
+        skip = [(weight_shapes[0][1],)] if has_skip else []
+        self.groups, ends, end = [], [], 0
+        for shapes in (weight_shapes, skip, hidden, hidden):
+            self.groups.append([])
+            for shape in shapes:
+                self.groups[-1].append((end, end + math.prod(shape), shape))
+                end = self.groups[-1][-1][1]
+            ends.append(end)
+        _, self.n_pos, self.n_reg, self.size = ends
+
+    def views(self, flat: np.ndarray):
+        """(weights, skip, biases, cutoffs) as views of ``flat``."""
+        w, s, b, c = ([flat[a:z].reshape(shape) for a, z, shape in g] for g in self.groups)
+        return w, s[0] if s else None, b, c
+
+
+_layout = functools.lru_cache(maxsize=None)(_Layout)  # one layout per architecture
+
+
+def _layout_of(params: MvnnParams) -> _Layout:
+    return _layout(tuple(W.shape for W in params.weights), params.skip is not None)
+
+
 class Grads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    cutoffs: list[np.ndarray]
-    skip: np.ndarray | None = None
+    """Parameter gradients: ``weights``, ``biases``, ``cutoffs`` and ``skip``
+    are views of the one buffer ``flat`` (see ``_Layout``)."""
+
+    def __init__(self, layout: _Layout):
+        self.flat = np.zeros(layout.size)
+        self.weights, self.skip, self.biases, self.cutoffs = layout.views(self.flat)
 
     @classmethod
     def zeros_like(cls, params: MvnnParams) -> "Grads":
-        return cls(
-            weights=[np.zeros_like(W) for W in params.weights],
-            biases=[np.zeros_like(b) for b in params.biases],
-            cutoffs=[np.zeros_like(t) for t in params.cutoffs],
-            skip=None if params.skip is None else np.zeros_like(params.skip),
-        )
+        return cls(_layout_of(params))
 
     def add(self, other: "Grads") -> None:
-        for a, b in zip(self.weights, other.weights):
-            a += b
-        for a, b in zip(self.biases, other.biases):
-            a += b
-        for a, b in zip(self.cutoffs, other.cutoffs):
-            a += b
-        if self.skip is not None and other.skip is not None:
-            self.skip += other.skip
+        self.flat += other.flat
 
     def arrays(self):
-        out = self.weights + self.biases + self.cutoffs
-        if self.skip is not None:
-            out = out + [self.skip]
-        return out
+        return self.weights + self.biases + self.cutoffs + _optional(self.skip)
 
     def global_norm(self) -> float:
         return float(np.sqrt(sum(float((g * g).sum()) for g in self.arrays())))
 
     def scale(self, c: float) -> None:
-        for g in self.arrays():
-            g *= c
+        self.flat *= c
 
 
-def backward(params: MvnnParams, X, O, Z, out_grad, masks=None) -> Grads:
-    """Parameter gradients of sum_b out_grad[b] * net(X[b])."""
-    g = Grads.zeros_like(params)
-    zz = Z[-1]
-    g.weights[-1][:] = (out_grad @ zz).reshape(1, -1)
+def _backward(g: Grads, params: MvnnParams, X, O, Z, out_grad, masks, add: bool) -> None:
+    """Write into ``g`` (or, with ``add``, add to it) the parameter gradients
+    of sum_b out_grad[b] * net(X[b])."""
+    put = (lambda dst, val: np.add(dst, val, out=dst)) if add else np.copyto
+    put(g.weights[-1], (out_grad @ Z[-1]).reshape(1, -1))
     if params.skip is not None:
-        g.skip[:] = out_grad @ X
+        put(g.skip, out_grad @ X)
     delta = out_grad[:, None] * params.weights[-1]
     for k in range(params.num_hidden - 1, -1, -1):
         if masks is not None:
             delta = delta * masks[k]
         o, t = O[k], params.cutoffs[k]
         # z = t on the saturated region; subgradient 0 at the kinks themselves
-        g.cutoffs[k][:] = (delta * (o > t)).sum(axis=0)
+        put(g.cutoffs[k], (delta * (o > t)).sum(axis=0))
         do = delta * ((o > 0) & (o < t))
-        g.biases[k][:] = do.sum(axis=0)
-        g.weights[k][:] = do.T @ Z[k]
+        put(g.biases[k], do.sum(axis=0))
+        put(g.weights[k], do.T @ Z[k])
         delta = do @ params.weights[k]
-    return g
 
 
 def add_l2_grads(g: Grads, params: MvnnParams, lam: float) -> float:
@@ -150,73 +172,59 @@ def add_l2_grads(g: Grads, params: MvnnParams, lam: float) -> float:
     penalty value."""
     if lam == 0:
         return 0.0
-    val = 0.0
-    for gw, W in zip(g.weights, params.weights):
-        gw += 2 * lam * W
-        val += float((W * W).sum())
-    for gb, b in zip(g.biases, params.biases):
-        gb += 2 * lam * b
-        val += float((b * b).sum())
-    if params.skip is not None:
-        g.skip += 2 * lam * params.skip
-        val += float((params.skip * params.skip).sum())
-    return lam * val
+    thetas = params.weights + params.biases + _optional(params.skip)
+    for gt, theta in zip(g.weights + g.biases + _optional(g.skip), thetas):
+        gt += 2 * lam * theta
+    return lam * sum(float((theta * theta).sum()) for theta in thetas)
 
 
 class Adam:
-    """Adam over the parameter list, with projection back onto the
-    sign-constrained set after each step."""
+    """Adam with the L2 penalty ``hyper.l2_lambda`` on weights, biases and
+    skip, and projection back onto the sign-constrained set after each step.
+
+    The network's arrays are moved into one flat vector in ``_Layout``
+    order and rebound as views of it, so each update is one operation on
+    that vector.  ``step`` takes the gradients of the data loss alone and
+    adds the L2 gradient itself, before clipping.
+    """
 
     def __init__(self, params: MvnnParams, hyper: TrainHyper):
         self.params = params
         self.hyper = hyper
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
-        self._m = Grads.zeros_like(params)
-        self._v = Grads.zeros_like(params)
-
-    def _param_arrays(self):
-        p = self.params
-        out = list(p.weights) + list(p.biases)
-        if self.hyper.trainable_cutoffs:
-            out += list(p.cutoffs)
-        else:
-            out += [None] * len(p.cutoffs)
-        if p.skip is not None:
-            out.append(p.skip)
-        return out
+        self._layout = _layout_of(params)
+        self._theta = np.concatenate([a.ravel() for a in params.weights + _optional(params.skip)
+                                      + params.biases + params.cutoffs])
+        params.weights, params.skip, params.biases, params.cutoffs = self._layout.views(self._theta)
+        # frozen cutoffs are the vector's tail: only the prefix is stepped
+        self._n_step = self._layout.size if hyper.trainable_cutoffs else self._layout.n_reg
+        self._m = np.zeros(self._n_step)
+        self._v = np.zeros(self._n_step)
 
     def step(self, grads: Grads) -> None:
-        h = self.hyper
+        h, n, n_reg = self.hyper, self._n_step, self._layout.n_reg
+        if h.l2_lambda != 0:
+            grads.flat[:n_reg] += 2 * h.l2_lambda * self._theta[:n_reg]
         norm = grads.global_norm()
         if h.clip_grad_norm and norm > h.clip_grad_norm:
             grads.scale(h.clip_grad_norm / (norm + 1e-12))
         self.t += 1
-        lr = h.learning_rate
         b1c = 1 - self.beta1**self.t
         b2c = 1 - self.beta2**self.t
-        for theta, g, m, v in zip(
-            self._param_arrays(), grads.arrays(), self._m.arrays(), self._v.arrays()
-        ):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            if theta is None:
-                continue  # frozen cutoffs
-            theta -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        g, m, v = grads.flat[:n], self._m, self._v
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        v += (1 - self.beta2) * g * g
+        self._theta[:n] -= h.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
         self.project()
 
     def project(self) -> None:
-        p = self.params
-        for W in p.weights:
-            np.maximum(W, 0.0, out=W)
-        for b in p.biases:
-            np.minimum(b, 0.0, out=b)
-        for t in p.cutoffs:
-            np.maximum(t, CUTOFF_FLOOR, out=t)
-        if p.skip is not None:
-            np.maximum(p.skip, 0.0, out=p.skip)
+        theta, n_pos, n_reg = self._theta, self._layout.n_pos, self._layout.n_reg
+        np.maximum(theta[:n_pos], 0.0, out=theta[:n_pos])
+        np.minimum(theta[n_pos:n_reg], 0.0, out=theta[n_pos:n_reg])
+        np.maximum(theta[n_reg:], CUTOFF_FLOOR, out=theta[n_reg:])
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +232,22 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 
+def _mean_data_grads(g: Grads, params: MvnnParams, X, y, hyper: TrainHyper, masks):
+    """Write into ``g`` the gradients of the smooth-L1 batch mean; return
+    the network's outputs."""
+    out, O, Z = forward_cache(params, X, masks)
+    out_grad = smooth_l1_grad(out, y, hyper.smooth_l1_beta) / X.shape[0]
+    _backward(g, params, X, O, Z, out_grad, masks, add=False)
+    return out
+
+
 def mean_loss_and_grads(params: MvnnParams, X, y, hyper: TrainHyper, masks=None):
     """Smooth-L1 data loss (batch mean) plus L2 penalty, with gradients;
     ``masks`` are optional dropout multipliers as in :func:`forward_cache`."""
-    out, O, Z = forward_cache(params, X, masks)
-    B = X.shape[0]
+    g = Grads.zeros_like(params)
+    out = _mean_data_grads(g, params, X, y, hyper, masks)
     data = float(smooth_l1(out, y, hyper.smooth_l1_beta).mean())
-    out_grad = smooth_l1_grad(out, y, hyper.smooth_l1_beta) / B
-    g = backward(params, X, O, Z, out_grad, masks)
-    reg = add_l2_grads(g, params, hyper.l2_lambda)
-    return data + reg, g
+    return data + add_l2_grads(g, params, hyper.l2_lambda), g
 
 
 def r_squared(pred: np.ndarray, y: np.ndarray) -> float:
@@ -257,11 +271,13 @@ def _dropout_masks(params: MvnnParams, B: int, p: float, rng) -> list[np.ndarray
 def _train_loop(params: MvnnParams, X, y, hyper: TrainHyper, rng, batch_grads, score):
     """Adam over shuffled mini-batches of (X, y); returns the parameters and
     score of the epoch (the start counting as epoch 0) with the lowest
-    ``score(params)``.  ``batch_grads(params, xb, yb, p_drop)`` returns one
-    batch's gradients at the current, decayed dropout probability."""
+    ``score(params)``.  ``batch_grads(g, params, xb, yb, p_drop)`` writes
+    into ``g`` one batch's data-loss gradients at the current, decayed
+    dropout probability; ``Adam.step`` adds the L2 term."""
     n = X.shape[0]
     bs = hyper.batch_size or n
     opt = Adam(params, hyper)
+    g = Grads.zeros_like(params)
     best = params.copy()
     best_loss = score(params)
     p_drop = hyper.dropout_p
@@ -269,7 +285,8 @@ def _train_loop(params: MvnnParams, X, y, hyper: TrainHyper, rng, batch_grads, s
         order = rng.permutation(n)
         for s in range(0, n, bs):
             idx = order[s : s + bs]
-            opt.step(batch_grads(params, X[idx], y[idx], p_drop))
+            batch_grads(g, params, X[idx], y[idx], p_drop)
+            opt.step(g)
         p_drop *= hyper.dropout_decay
         cur = score(params)
         if cur < best_loss:
@@ -305,9 +322,9 @@ def train_mean(
             layer_dims, init_hyper, train_hyper.cutoff_init_range, rng, skip=skip
         )
 
-        def batch_grads(p, xb, yb, p_drop):
+        def batch_grads(g, p, xb, yb, p_drop):
             masks = _dropout_masks(p, xb.shape[0], p_drop, rng)
-            return mean_loss_and_grads(p, xb, yb, train_hyper, masks)[1]
+            _mean_data_grads(g, p, xb, yb, train_hyper, masks)
 
         return _train_loop(params, X, y, train_hyper, rng, batch_grads, train_mae)
 

@@ -19,11 +19,12 @@ import numpy as np
 from .errors import InvalidInputError
 from .mvnn import MvnnParams, init_params
 from .training import (
+    Grads,
     TrainHyper,
+    _backward,
     _dropout_masks,
     _train_loop,
     add_l2_grads,
-    backward,
     forward_cache,
     smooth_l1,
     smooth_l1_grad,
@@ -178,21 +179,21 @@ class UubTriple:
 
 
 def _loss_terms(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta: float,
-                grads: bool = True) -> dict:
+                grads: bool = True, values: bool = True) -> dict:
     """Each loss term as (value, d/d out_tr, d/d out_art), in summation
     order.  A gradient is 0.0 where the term does not depend on that
-    output, and every gradient is 0.0 when ``grads`` is false."""
+    output; every gradient is 0.0 when ``grads`` is false, and every value
+    0.0 when ``values`` is false."""
     n_art = out_art.shape[0]
 
     def hinge(excess, pi, sign):
         # soft penalty on the positive part of `excess`; d excess/d out_art = sign
         c = hyper.mu_exp * hyper.c_exp * pi
         pos = np.maximum(excess, 0.0)
-        value = c * float(smooth_l1(pos, 0.0, beta).mean())
-        return value, 0.0, (sign * c / n_art * smooth_l1_grad(pos, 0.0, beta) * (excess > 0)
-                            if grads else 0.0)
+        return (c * float(smooth_l1(pos, 0.0, beta).mean()) if values else 0.0, 0.0,
+                sign * c / n_art * smooth_l1_grad(pos, 0.0, beta) * (excess > 0) if grads else 0.0)
 
-    terms = {"data": (hyper.mu_sqr * float(smooth_l1(out_tr, y, beta).sum()),
+    terms = {"data": (hyper.mu_sqr * float(smooth_l1(out_tr, y, beta).sum()) if values else 0.0,
                       hyper.mu_sqr * smooth_l1_grad(out_tr, y, beta) if grads else 0.0, 0.0)}
     s = np.minimum(out_art, exact_art) - mean_art
     if hyper.loss_variant == "main-paper":
@@ -201,13 +202,14 @@ def _loss_terms(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta:
         arg = 0.01 - hyper.c_exp * s
     d_push = (hyper.mu_exp * g_gate_grad(arg) / n_art * (-hyper.c_exp) * (out_art < exact_art)
               if grads else 0.0)
-    terms["push_up"] = (hyper.mu_exp * float(g_gate(arg).mean()), 0.0, d_push)
+    terms["push_up"] = (hyper.mu_exp * float(g_gate(arg).mean()) if values else 0.0, 0.0, d_push)
     terms["below_exact"] = hinge(out_art - exact_art, hyper.pi_uub, 1.0)
     terms["above_mean"] = hinge(mean_art - out_art, hyper.pi_mean, -1.0)
     if hyper.loss_variant == "appendix-detailed":
         over = np.maximum(out_tr - y, 0.0)
         terms["stability"] = (
-            hyper.mu_sqr * float((0.001 * over + 0.5 * smooth_l1(over, 0.0, beta)).sum()),
+            hyper.mu_sqr * float((0.001 * over + 0.5 * smooth_l1(over, 0.0, beta)).sum())
+            if values else 0.0,
             hyper.mu_sqr * (0.001 + 0.5 * smooth_l1_grad(over, 0.0, beta)) * (out_tr > y)
             if grads else 0.0,
             0.0,
@@ -215,16 +217,8 @@ def _loss_terms(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta:
     return terms
 
 
-def nomu_loss_terms(
-    uub_net: MvnnParams,
-    mean_net: MvnnParams,
-    exact_net: MvnnParams,
-    X: np.ndarray,
-    y: np.ndarray,
-    X_art: np.ndarray,
-    hyper: NomuHyper,
-    beta: float,
-) -> dict[str, float]:
+def nomu_loss_terms(uub_net: MvnnParams, mean_net: MvnnParams, exact_net: MvnnParams, X, y, X_art,
+                    hyper: NomuHyper, beta: float) -> dict[str, float]:
     """The individual loss terms; mean and exact networks are frozen.
 
     Keys: ``data`` (fit through the reports), ``push_up`` (raise the bound
@@ -234,11 +228,7 @@ def nomu_loss_terms(
     """
     if X.shape[0] == 0:
         raise InvalidInputError("empty training batch")
-    terms = _loss_terms(
-        uub_net.forward(X), uub_net.forward(X_art), y,
-        mean_net.forward(X_art), exact_net.forward(X_art), hyper, beta, grads=False,
-    )
-    return {name: value for name, (value, _, _) in terms.items()}
+    return _frozen_terms(mean_net, exact_net, X, y, X_art, hyper, beta)(uub_net)
 
 
 def nomu_loss(
@@ -247,30 +237,27 @@ def nomu_loss(
     return sum(nomu_loss_terms(uub_net, mean_net, exact_net, X, y, X_art, hyper, beta).values())
 
 
-def nomu_loss_and_grads(
-    uub_net: MvnnParams,
-    mean_net: MvnnParams,
-    exact_net: MvnnParams,
-    X: np.ndarray,
-    y: np.ndarray,
-    X_art: np.ndarray,
-    hyper: NomuHyper,
-    train_hyper: TrainHyper,
-    masks=None,
-    art_masks=None,
-    only_term: str | None = None,
-):
-    """Loss and parameter gradients for the learned upper bound.
+def _frozen_terms(mean_net, exact_net, X, y, X_art, hyper: NomuHyper, beta: float):
+    """``nomu_loss_terms`` as a function of the learned bound alone; the
+    frozen networks are evaluated on ``X_art`` once, here."""
+    mean_art, exact_art = mean_net.forward(X_art), exact_net.forward(X_art)
 
-    Only ``uub_net`` receives gradients.  ``only_term`` restricts the result
-    to a single named term (no L2), used by the finite-difference checks.
-    """
+    def terms(uub_net: MvnnParams) -> dict[str, float]:
+        t = _loss_terms(uub_net.forward(X), uub_net.forward(X_art), y, mean_art, exact_art,
+                        hyper, beta, grads=False)
+        return {name: value for name, (value, _, _) in t.items()}
+
+    return terms
+
+
+def _nomu_grads(g: Grads, uub_net, mean_net, exact_net, X, y, X_art, hyper: NomuHyper,
+                beta: float, masks, art_masks, values: bool, only_term: str | None = None) -> float:
+    """Write into ``g`` the loss gradients without L2 (of ``only_term``
+    alone if given); return the loss, or 0.0 unless ``values``."""
     out_tr, O_tr, Z_tr = forward_cache(uub_net, X, masks)
     out_art, O_art, Z_art = forward_cache(uub_net, X_art, art_masks)
-    terms = _loss_terms(
-        out_tr, out_art, y, mean_net.forward(X_art), exact_net.forward(X_art),
-        hyper, train_hyper.smooth_l1_beta,
-    )
+    terms = _loss_terms(out_tr, out_art, y, mean_net.forward(X_art), exact_net.forward(X_art),
+                        hyper, beta, values=values)
     loss = 0.0
     gout_tr = np.zeros_like(out_tr)
     gout_art = np.zeros_like(out_art)
@@ -280,26 +267,30 @@ def nomu_loss_and_grads(
         loss += value
         gout_tr += d_tr
         gout_art += d_art
+    _backward(g, uub_net, X, O_tr, Z_tr, gout_tr, masks, add=False)
+    _backward(g, uub_net, X_art, O_art, Z_art, gout_art, art_masks, add=True)
+    return loss
 
-    g = backward(uub_net, X, O_tr, Z_tr, gout_tr, masks)
-    g_art = backward(uub_net, X_art, O_art, Z_art, gout_art, art_masks)
-    g.add(g_art)
+
+def nomu_loss_and_grads(uub_net: MvnnParams, mean_net: MvnnParams, exact_net: MvnnParams, X, y,
+                        X_art, hyper: NomuHyper, train_hyper: TrainHyper, masks=None,
+                        art_masks=None, only_term: str | None = None):
+    """Loss and parameter gradients for the learned upper bound.
+
+    Only ``uub_net`` receives gradients.  ``only_term`` restricts the result
+    to a single named term (no L2), used by the finite-difference checks.
+    """
+    g = Grads.zeros_like(uub_net)
+    loss = _nomu_grads(g, uub_net, mean_net, exact_net, X, y, X_art, hyper,
+                       train_hyper.smooth_l1_beta, masks, art_masks, True, only_term)
     if only_term is None:
         loss += add_l2_grads(g, uub_net, train_hyper.l2_lambda)
     return loss, g
 
 
-def train_uub(
-    reports: list[tuple[np.ndarray, float]],
-    mean_net: MvnnParams,
-    exact_net: MvnnParams,
-    nomu_hyper: NomuHyper,
-    train_hyper: TrainHyper,
-    init_hyper,
-    layer_dims: list[int],
-    seed: int = 0,
-    skip: bool = False,
-) -> MvnnParams:
+def train_uub(reports: list[tuple[np.ndarray, float]], mean_net: MvnnParams, exact_net: MvnnParams,
+              nomu_hyper: NomuHyper, train_hyper: TrainHyper, init_hyper, layer_dims: list[int],
+              seed: int = 0, skip: bool = False) -> MvnnParams:
     """Train the learned upper bound against frozen mean and exact networks.
 
     Artificial comparison points are drawn fresh from Unif([0,1]^m) for
@@ -315,19 +306,17 @@ def train_uub(
     params = init_params(layer_dims, init_hyper, train_hyper.cutoff_init_range, rng, skip=skip)
 
     X_eval = rng.uniform(0.0, 1.0, size=(max(nomu_hyper.n_art, 128), m))
+    beta = train_hyper.smooth_l1_beta
 
-    def batch_grads(p, xb, yb, p_drop):
+    def batch_grads(g, p, xb, yb, p_drop):
         X_art = rng.uniform(0.0, 1.0, size=(nomu_hyper.n_art, m))
         masks = _dropout_masks(p, xb.shape[0], p_drop, rng)
         art_masks = _dropout_masks(p, X_art.shape[0], p_drop, rng)
-        return nomu_loss_and_grads(
-            p, mean_net, exact_net, xb, yb, X_art, nomu_hyper, train_hyper, masks, art_masks
-        )[1]
+        _nomu_grads(g, p, mean_net, exact_net, xb, yb, X_art, nomu_hyper, beta, masks, art_masks,
+                    values=False)
 
-    def score(p):
-        return nomu_loss(p, mean_net, exact_net, X, y, X_eval, nomu_hyper,
-                         train_hyper.smooth_l1_beta)
-
-    best, _ = _train_loop(params, X, y, train_hyper, rng, batch_grads, score)
+    eval_terms = _frozen_terms(mean_net, exact_net, X, y, X_eval, nomu_hyper, beta)
+    best, _ = _train_loop(params, X, y, train_hyper, rng, batch_grads,
+                          lambda p: sum(eval_terms(p).values()))
     best.validate()
     return best

@@ -148,9 +148,10 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
     Items are branched in order of decreasing total single-item value;
     children are explored best-bound first.  With a zero relative gap, nodes
     whose bound ties the incumbent are still explored so the lexicographic
-    tie-break matches the brute-force oracle.  On a time limit the proven
-    gap covers the node being expanded and every unexplored sibling on the
-    path to it.
+    tie-break matches the brute-force oracle.  On a time limit the search
+    stops at the first node entered once an incumbent exists (so it goes on
+    past the deadline until the first feasible leaf), and the proven gap
+    covers that node and every unexplored sibling on the path to it.
     """
     budget = budget or SolveBudget()
     n = len(evaluators)
@@ -202,9 +203,9 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
 
     def recurse(depth: int, node_bound: float | None):
         state["nodes"] += 1
-        if time.monotonic() > deadline:
-            here = bound() if node_bound is None else node_bound
-            state["abandoned"] = max([here, *frontier[:depth]])
+        # past the deadline with no incumbent, keep diving to a feasible leaf
+        if time.monotonic() > deadline and state["best_w"] is not None:
+            state["abandoned"] = max([node_bound, *frontier[:depth]])
             raise _TimeUp
         if depth == m:
             leaf(bound() if node_bound is None else node_bound)
@@ -240,7 +241,7 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
             else max(budget.relative_gap, state["abandoned"] / w - 1.0)
         )
     if state["best_alloc"] is None:
-        raise InvalidInputError("no feasible allocation found within the budget")
+        raise InvalidInputError("exclusions rule out every assignment")
     return WdpSolution(
         allocation=state["best_alloc"],
         objective=state["best_w"],

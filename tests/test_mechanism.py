@@ -217,3 +217,4 @@ class TestRunMlca:
         cfg = _fast_config(acquisition="mean", hidden_dims=(6, 6))
         back = MechanismConfig.from_json_obj(json.loads(json.dumps(cfg.to_json_obj())))
         assert back == cfg
+        assert isinstance(back.train_hyper.cutoff_init_range, tuple)

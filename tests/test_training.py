@@ -5,6 +5,7 @@ import pytest
 
 from iterauction.mvnn import InitHyper, init_params, random_containment_pair
 from iterauction.training import (
+    CUTOFF_FLOOR,
     Adam,
     Grads,
     TrainHyper,
@@ -15,7 +16,7 @@ from iterauction.training import (
     train_mean,
 )
 
-from _gradcheck import preactivations_kink_free, worst_relative_error
+from _gradcheck import param_arrays, preactivations_kink_free, worst_relative_error
 
 
 class TestSmoothL1:
@@ -81,6 +82,99 @@ class TestAdamProjection:
         norm_before = g.global_norm()
         Adam(p, TrainHyper(clip_grad_norm=1.0)).step(g)
         assert norm_before > 1.0 and g.global_norm() <= 1.0 + 1e-9
+
+
+def reference_adam_step(p, grads, state, hyper):
+    """The per-array Adam step: L2 gradient, clipping, moments, update and
+    projection, one array at a time."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    regularised = list(p.weights) + list(p.biases) + ([] if p.skip is None else [p.skip])
+    g_reg = list(grads.weights) + list(grads.biases) + ([] if p.skip is None else [grads.skip])
+    if hyper.l2_lambda != 0:
+        for g, theta in zip(g_reg, regularised):
+            g += 2 * hyper.l2_lambda * theta
+    g_all = grads.arrays()  # weights, biases, cutoffs, skip
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in g_all)))
+    if hyper.clip_grad_norm and norm > hyper.clip_grad_norm:
+        for g in g_all:
+            g *= hyper.clip_grad_norm / (norm + 1e-12)
+    state["t"] += 1
+    t = state["t"]
+    thetas = list(p.weights) + list(p.biases) + list(p.cutoffs)
+    thetas += [] if p.skip is None else [p.skip]
+    frozen = [] if hyper.trainable_cutoffs else [id(c) for c in p.cutoffs]
+    for k, (theta, g) in enumerate(zip(thetas, g_all)):
+        m = state["m"].setdefault(k, np.zeros_like(g))
+        v = state["v"].setdefault(k, np.zeros_like(g))
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * g * g
+        if id(theta) in frozen:
+            continue
+        theta -= hyper.learning_rate * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
+    for W in p.weights:
+        np.maximum(W, 0.0, out=W)
+    for b in p.biases:
+        np.minimum(b, 0.0, out=b)
+    for c in p.cutoffs:
+        np.maximum(c, CUTOFF_FLOOR, out=c)
+    if p.skip is not None:
+        np.maximum(p.skip, 0.0, out=p.skip)
+
+
+def param_bytes(p):
+    return [a.tobytes() for a in param_arrays(p)]
+
+
+class TestFlatLayout:
+    def test_grads_views_alias_the_flat_buffer(self):
+        p = init_params([5, 4, 3, 1], InitHyper(), seed=1, skip=True)
+        g = Grads.zeros_like(p)
+        for arr in g.arrays():
+            assert np.shares_memory(arr, g.flat)
+        g.flat[:] = np.arange(g.flat.size)
+        in_layout_order = g.weights + [g.skip] + g.biases + g.cutoffs
+        assert np.concatenate([a.ravel() for a in in_layout_order]).tolist() == g.flat.tolist()
+        g.biases[1][0] = -1.0
+        assert -1.0 in g.flat
+        assert [a.shape for a in g.arrays()] == [a.shape for a in param_arrays(p)]
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_adam_rebinds_the_network_as_views_of_one_buffer(self, skip):
+        p = init_params([5, 4, 3, 1], InitHyper(), seed=2, skip=skip)
+        before = param_bytes(p)
+        Adam(p, TrainHyper())
+        arrays = param_arrays(p)
+        assert len({id(a.base) for a in arrays}) == 1 and arrays[0].base is not None
+        assert all(a.base is arrays[0].base for a in arrays)
+        assert param_bytes(p) == before
+        p.validate()
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("trainable_cutoffs", [False, True])
+    def test_step_equals_per_array_reference(self, skip, trainable_cutoffs):
+        hyper = TrainHyper(learning_rate=0.05, l2_lambda=1e-3, clip_grad_norm=1.0,
+                           trainable_cutoffs=trainable_cutoffs)
+        p = init_params([5, 4, 3, 1], InitHyper(), (0.1, 1.0), seed=3, skip=skip)
+        ref = p.copy()
+        cutoffs_before = [c.tobytes() for c in p.cutoffs]
+        opt = Adam(p, hyper)
+        state = {"t": 0, "m": {}, "v": {}}
+        rng = np.random.default_rng(4)
+        for scale in (0.1, 10.0, 0.5):  # the middle step is clipped
+            g, g_ref = Grads.zeros_like(p), Grads.zeros_like(ref)
+            for a, b in zip(g.arrays(), g_ref.arrays()):
+                a[...] = b[...] = rng.normal(scale=scale, size=a.shape)
+            opt.step(g)
+            reference_adam_step(ref, g_ref, state, hyper)
+            assert param_bytes(p) == param_bytes(ref)
+            assert g.flat.tobytes() == np.concatenate(
+                [a.ravel() for a in g_ref.weights + ([g_ref.skip] if skip else [])
+                 + g_ref.biases + g_ref.cutoffs]).tobytes()
+        if not trainable_cutoffs:
+            assert [c.tobytes() for c in p.cutoffs] == cutoffs_before
+        p.validate()
 
 
 class TestTrainMean:

@@ -10,8 +10,10 @@ from iterauction.errors import InvalidInputError
 from iterauction.mvnn import InitHyper, init_params
 from iterauction.training import TrainHyper
 from iterauction.uub import (
+    LOSS_VARIANTS,
     NomuHyper,
     UubTriple,
+    _frozen_terms,
     build_exact_uub,
     elu,
     g_gate,
@@ -187,6 +189,33 @@ class TestTrainUub:
                                 InitHyper(), [m, 6, 1], seed=seed)
                 gaps[mu].append(float((uub.forward(X) - mean.forward(X)).mean()))
         assert np.mean(gaps[1.0]) >= np.mean(gaps[0.01]) - 1e-9
+
+    @pytest.mark.parametrize("variant", LOSS_VARIANTS)
+    def test_cached_epoch_score_equals_nomu_loss(self, variant):
+        # train_uub scores every epoch with the frozen networks' outputs on
+        # its fixed sample computed once; the score must be nomu_loss exactly
+        from iterauction.training import train_mean
+
+        rng = np.random.default_rng(3)
+        m = 5
+        reports = random_reports(m, rng, extra=8)
+        th = TrainHyper(epochs=20)
+        nh = NomuHyper(loss_variant=variant)
+        mean = train_mean(reports, [m, 8, 1], InitHyper(), th, seed=0)
+        exact = build_exact_uub(reports)
+        X = np.stack([b.astype(float) for b, _ in reports])
+        y = np.array([v for _, v in reports])
+        X_eval = rng.uniform(0.0, 1.0, size=(128, m))
+        eval_terms = _frozen_terms(mean, exact, X, y, X_eval, nh, th.smooth_l1_beta)
+        nets = [train_uub(reports, mean, exact, nh, th, InitHyper(), [m, 8, 1], seed=0)]
+        nets += [init_params([m, 8, 1], InitHyper(), (0.1, 1.0), seed=s, skip=bool(s)) for s in (1, 2)]
+        no_l2 = TrainHyper(l2_lambda=0.0)
+        for net in nets + nets[:1]:
+            score = sum(eval_terms(net).values())
+            assert score == nomu_loss(net, mean, exact, X, y, X_eval, nh, th.smooth_l1_beta)
+            # the gradient path evaluates the frozen networks afresh
+            fresh, _ = nomu_loss_and_grads(net, mean, exact, X, y, X_eval, nh, no_l2)
+            assert score == pytest.approx(fresh, rel=1e-12)
 
     def test_triple_serialization(self):
         rng = np.random.default_rng(2)

@@ -133,6 +133,35 @@ class TestBranchAndBound:
         best = brute_force_wdp(evs, m, exclusions=excl)
         assert best.objective <= sol.objective * (1 + sol.proven_gap) + 1e-9
 
+    def test_time_limit_before_first_feasible_leaf(self, monkeypatch):
+        # a 7-node limit: the root plus one node per item reach the first
+        # leaf, whose bundle is excluded; the deadline then passes with no
+        # incumbent, and the search must dive on to a feasible leaf
+        n, m = 3, 6
+        nets = random_nets(n, m, np.random.default_rng(6), hidden=(10,))
+        evs = [p.forward for p in nets]
+
+        def solve(exclusions):
+            ticks = itertools.count()
+            monkeypatch.setattr(wdp, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+            return solve_wdp(evs, m, budget=SolveBudget(relative_gap=0.0, time_limit_secs=7.5),
+                             exclusions=exclusions)
+
+        first_leaf = solve(None)  # with no exclusions the first leaf is the incumbent
+        assert first_leaf.nodes == 8
+        taker = int(np.flatnonzero(first_leaf.allocation.sum(axis=1))[-1])
+        excl = [None] * n
+        excl[taker] = {(0,) * m, tuple(first_leaf.allocation[taker])}
+        sol = solve(excl)
+        assert sol.status == "time_limit" and sol.nodes > 8
+        assert math.isfinite(sol.proven_gap) and sol.proven_gap >= 0
+        assert (sol.allocation.sum(axis=0) <= 1).all()
+        assert tuple(sol.allocation[taker]) not in excl[taker]
+        welfare = sum(ev(sol.allocation[i : i + 1].astype(float))[0] for i, ev in enumerate(evs))
+        assert sol.objective == pytest.approx(welfare, abs=1e-9)
+        best = brute_force_wdp(evs, m, exclusions=excl)
+        assert best.objective <= sol.objective * (1 + sol.proven_gap) + 1e-9
+
 
 @st.composite
 def wdp_instances(draw):
