@@ -208,7 +208,8 @@ class TestTrainUub:
         X_eval = rng.uniform(0.0, 1.0, size=(128, m))
         eval_terms = _frozen_terms(mean, exact, X, y, X_eval, nh, th.smooth_l1_beta)
         nets = [train_uub(reports, mean, exact, nh, th, InitHyper(), [m, 8, 1], seed=0)]
-        nets += [init_params([m, 8, 1], InitHyper(), (0.1, 1.0), seed=s, skip=bool(s)) for s in (1, 2)]
+        nets += [init_params([m, 8, 1], InitHyper(), (0.1, 1.0), seed=s, skip=bool(s - 1))
+                 for s in (1, 2)]
         no_l2 = TrainHyper(l2_lambda=0.0)
         for net in nets + nets[:1]:
             score = sum(eval_terms(net).values())
