@@ -99,13 +99,6 @@ class ReportSet:
                 out.add(k, b, v)
         return out
 
-    def copy(self) -> "ReportSet":
-        out = ReportSet(self.n, self.m)
-        for i in range(self.n):
-            for b, v in self.per_bidder[i]:
-                out.add(i, b, v)
-        return out
-
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,

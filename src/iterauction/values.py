@@ -12,7 +12,7 @@ construction, and all normalized so the full bundle is worth exactly 1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -118,6 +118,8 @@ class GeneratorConfig:
     gamma_range: tuple[float, float] = (0.4, 0.9)
 
     def __post_init__(self):
+        self.bidder_kinds = tuple(self.bidder_kinds)
+        self.gamma_range = tuple(self.gamma_range)
         if not (1 <= self.n <= 12):
             raise InvalidInputError("bidder count must lie in [1, 12]")
         if not (1 <= self.m <= 30):
@@ -127,25 +129,14 @@ class GeneratorConfig:
                 raise InvalidInputError(f"unknown bidder kind {k!r}")
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "bidder_kinds": list(self.bidder_kinds),
-            "synergy_density": self.synergy_density,
-            "synergy_scale": self.synergy_scale,
-            "gamma_range": list(self.gamma_range),
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GeneratorConfig":
-        return cls(
-            n=obj["n"],
-            m=obj["m"],
-            bidder_kinds=tuple(obj.get("bidder_kinds", KINDS)),
-            synergy_density=obj.get("synergy_density", 0.25),
-            synergy_scale=obj.get("synergy_scale", 1.0),
-            gamma_range=tuple(obj.get("gamma_range", (0.4, 0.9))),
-        )
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise InvalidInputError(f"unknown generator keys {sorted(unknown)}")
+        return cls(**obj)
 
 
 def _random_model(kind: str, m: int, cfg: GeneratorConfig, rng: np.random.Generator) -> ValueModel:

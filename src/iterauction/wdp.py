@@ -13,6 +13,7 @@ Three solving routes, used to check each other:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -25,6 +26,7 @@ INTEGRALITY_TOL = 1e-6
 FEASIBILITY_TOL = 1e-9
 WELFARE_TIE_TOL = 1e-9
 BRUTE_FORCE_LIMIT = 10**7
+BRUTE_FORCE_CHUNK = 1 << 16  # assignments enumerated per vectorised batch
 
 
 @dataclass
@@ -78,7 +80,7 @@ def _exclusion_sets(n: int, exclusions):
 # ---------------------------------------------------------------------------
 
 
-def brute_force_wdp(evaluators, m: int, exclusions=None, chunk: int = 1 << 16) -> WdpSolution:
+def brute_force_wdp(evaluators, m: int, exclusions=None) -> WdpSolution:
     """Enumerate all (n+1)^m assignments of each item to a bidder or nobody.
 
     ``evaluators[i]`` maps a (B, m) 0/1 array to (B,) values.  ``exclusions``
@@ -93,8 +95,8 @@ def brute_force_wdp(evaluators, m: int, exclusions=None, chunk: int = 1 << 16) -
     excl = _exclusion_sets(n, exclusions)
     radix = (n + 1) ** np.arange(m, dtype=np.int64)
     best_w, best_alloc = None, None
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, BRUTE_FORCE_CHUNK):
+        codes = np.arange(start, min(start + BRUTE_FORCE_CHUNK, total), dtype=np.int64)
         digits = (codes[:, None] // radix[None, :]) % (n + 1)  # (B, m), 0 = nobody
         welfare = np.zeros(len(codes))
         bundles = []
@@ -322,43 +324,37 @@ def lemma_assignment(o: float, t: float) -> tuple[int, int]:
 
 @dataclass
 class WdpModel:
-    """A mixed-integer maximization in named-variable form."""
+    """A mixed-integer maximization over indexed columns: rows and the
+    objective map column index -> coefficient."""
 
-    var_names: list = field(default_factory=list)
+    var_names: list = field(default_factory=list)  # unique; used in LP text
     var_lb: list = field(default_factory=list)
     var_ub: list = field(default_factory=list)
     var_int: list = field(default_factory=list)
-    var_index: dict = field(default_factory=dict)
-    # constraints: (name, {var: coeff}, lb, ub)
+    # constraints: (name, {column: coeff}, lb, ub), exactly one side finite
     constraints: list = field(default_factory=list)
     objective: dict = field(default_factory=dict)
     objective_const: float = 0.0
     prune_log: list = field(default_factory=list)
 
-    def add_var(self, name, lb, ub, integer=False) -> str:
-        if name in self.var_index:
-            raise InvalidInputError(f"duplicate variable {name}")
-        self.var_index[name] = len(self.var_names)
+    def add_var(self, name, lb, ub, integer=False) -> int:
         self.var_names.append(name)
         self.var_lb.append(float(lb))
         self.var_ub.append(float(ub))
         self.var_int.append(bool(integer))
-        return name
+        return len(self.var_names) - 1
 
     def add_constraint(self, name, coeffs, lb, ub):
+        lb, ub = float(lb), float(ub)
+        if math.isfinite(lb) == math.isfinite(ub):
+            raise InvalidInputError(f"row {name} must have exactly one finite side")
         coeffs = {v: float(c) for v, c in coeffs.items() if c != 0.0}
-        self.constraints.append((name, coeffs, float(lb), float(ub)))
-
-    def objective_value(self, values: dict) -> float:
-        return self.objective_const + sum(c * values[v] for v, c in self.objective.items())
-
-
-def _affine(coeffs=None, const=0.0):
-    return (dict(coeffs or {}), float(const))
+        self.constraints.append((name, coeffs, lb, ub))
 
 
 def _affine_sum(terms, const=0.0):
-    """terms: iterable of (scale, (coeffs, const))."""
+    """Sum of scaled affine expressions; terms: iterable of (scale, (coeffs,
+    const)) with coeffs a {column: coeff} dict."""
     out: dict = {}
     c = float(const)
     for scale, (coeffs, k) in terms:
@@ -387,37 +383,32 @@ def encode_milp(nets: list[MvnnParams], exclusions=None, prune: bool = True) -> 
     if any(net.m != m for net in nets):
         raise InvalidInputError("all networks must share the item count")
     model = WdpModel()
+    # allocation columns first, bidder-major: a_i_j is column i * m + j
     for i in range(len(nets)):
         for j in range(m):
             model.add_var(f"a_{i}_{j}", 0, 1, integer=True)
     for j in range(m):
-        model.add_constraint(
-            f"item_{j}", {f"a_{i}_{j}": 1.0 for i in range(len(nets))}, -np.inf, 1.0
-        )
+        model.add_constraint(f"item_{j}", {i * m + j: 1.0 for i in range(len(nets))}, -np.inf, 1.0)
 
-    obj = _affine()
+    obj = ({}, 0.0)
     for i, net in enumerate(nets):
         bounds = box_bounds(net)
-        zexpr = [_affine({f"a_{i}_{j}": 1.0}) for j in range(m)]
+        inputs = zexpr = [({i * m + j: 1.0}, 0.0) for j in range(m)]
         for k in range(net.num_hidden):
             lo, hi = bounds[k]
             new_z = []
             for j in range(net.weights[k].shape[0]):
-                W_row = net.weights[k][j]
-                o = _affine_sum(
-                    [(W_row[p], zexpr[p]) for p in range(len(zexpr))],
-                    const=net.biases[k][j],
-                )
+                o = _affine_sum(zip(net.weights[k][j], zexpr), const=net.biases[k][j])
                 t = float(net.cutoffs[k][j])
                 l, u = float(lo[j]), float(hi[j])
                 tag = f"{i}_{k}_{j}"
                 if prune and t < l:
                     model.prune_log.append((i, k, j, "fixed-saturated"))
-                    new_z.append(_affine(const=t))
+                    new_z.append(({}, t))
                     continue
                 if prune and u < 0:
                     model.prune_log.append((i, k, j, "fixed-off"))
-                    new_z.append(_affine(const=0.0))
+                    new_z.append(({}, 0.0))
                     continue
                 if prune and 0 <= l and u <= t:
                     model.prune_log.append((i, k, j, "affine-identity"))
@@ -436,7 +427,7 @@ def encode_milp(nets: list[MvnnParams], exclusions=None, prune: bool = True) -> 
                     model.prune_log.append((i, k, j, "beta-fixed"))
                 else:
                     beta = model.add_var(f"beta_{tag}", 0, 1, integer=True)
-                z_minus_o, k_zo = _affine_sum([(1.0, _affine({z: 1.0})), (-1.0, o)])
+                z_minus_o, k_zo = _affine_sum([(1.0, ({z: 1.0}, 0.0)), (-1.0, o)])
                 # z <= alpha t and z <= o - l (1 - alpha)
                 ub2, rhs2 = dict(z_minus_o), -k_zo
                 if alpha is not None:
@@ -449,98 +440,92 @@ def encode_milp(nets: list[MvnnParams], exclusions=None, prune: bool = True) -> 
                     model.add_constraint(f"n{tag}_lb1", {z: 1.0, beta: -t}, 0.0, np.inf)
                     lb2[beta] = -(t - u)
                 model.add_constraint(f"n{tag}_lb2", lb2, -k_zo, np.inf)
-                new_z.append(_affine({z: 1.0}))
+                new_z.append(({z: 1.0}, 0.0))
             zexpr = new_z
         terms = [(float(net.weights[-1][0, j]), zexpr[j]) for j in range(len(zexpr))]
         if net.skip is not None:
-            terms += [
-                (float(net.skip[j]), _affine({f"a_{i}_{j}": 1.0})) for j in range(m)
-            ]
+            terms += zip(net.skip.tolist(), inputs)
         obj = _affine_sum([(1.0, obj)] + terms)
 
     if exclusions is not None:
         for i, bundles in enumerate(exclusions):
             for idx, b in enumerate(bundles or []):
                 x = np.asarray(b, dtype=np.int64).ravel()
-                coeffs = {
-                    f"a_{i}_{j}": (1.0 if x[j] == 0 else -1.0) for j in range(m)
-                }
+                coeffs = {i * m + j: (1.0 if x[j] == 0 else -1.0) for j in range(m)}
                 model.add_constraint(f"excl_{i}_{idx}", coeffs, 1.0 - float(x.sum()), np.inf)
 
     model.objective, model.objective_const = obj
     return model
 
 
+def _matrix(model: WdpModel):
+    """``(c, A, row_lb, row_ub)``: the objective as a dense vector, the rows
+    as a CSR array and their bounds."""
+    from scipy.sparse import csr_array
+
+    c = np.zeros(len(model.var_names))
+    c[list(model.objective)] = list(model.objective.values())
+    indptr, indices, data = [0], [], []
+    for _, coeffs, _, _ in model.constraints:
+        indices += coeffs
+        data += coeffs.values()
+        indptr.append(len(indices))
+    A = csr_array((data, indices, indptr), shape=(len(model.constraints), len(c)))
+    row_lb, row_ub = np.array([row[2:] for row in model.constraints]).reshape(-1, 2).T
+    return c, A, row_lb, row_ub
+
+
 def check_encoding_at(net: MvnnParams, bundle: np.ndarray) -> bool:
-    """Verify the indicator assignment of the hidden-neuron encoding at one
-    bundle: with the canonical binaries the four constraints hold and force
-    z to the clipped pre-activation."""
+    """Check the unpruned encoding of ``net`` at one bundle: with the
+    allocation set to the bundle, each neuron's z to its clipped
+    pre-activation and its indicators to :func:`lemma_assignment`, every row
+    and every variable bound of ``encode_milp([net], prune=False)`` holds
+    within FEASIBILITY_TOL."""
+    model = encode_milp([net], prune=False)
     z = np.asarray(bundle, dtype=np.float64)
+    values = list(z)
     for k in range(net.num_hidden):
         o = net.weights[k] @ z + net.biases[k]
-        t = net.cutoffs[k]
-        z_next = np.clip(o, 0.0, t)
-        bounds = box_bounds(net)[k]
+        z = np.clip(o, 0.0, net.cutoffs[k])
         for j in range(len(o)):
-            a, b = lemma_assignment(float(o[j]), float(t[j]))
-            l, u = float(bounds[0][j]), float(bounds[1][j])
-            zj, oj, tj = float(z_next[j]), float(o[j]), float(t[j])
-            ok = (
-                zj <= a * tj + FEASIBILITY_TOL
-                and zj <= oj - l * (1 - a) + FEASIBILITY_TOL
-                and zj >= b * tj - FEASIBILITY_TOL
-                and zj >= oj + (tj - u) * b - FEASIBILITY_TOL
-            )
-            if not ok:
-                return False
-        z = z_next
-    return True
+            # unpruned, each neuron adds its columns z, alpha, beta in order
+            values += [z[j], *lemma_assignment(float(o[j]), float(net.cutoffs[k][j]))]
+    x = np.array(values)
+    _, A, row_lb, row_ub = _matrix(model)
+    vals = np.concatenate([A @ x, x])
+    lo = np.concatenate([row_lb, model.var_lb]) - FEASIBILITY_TOL
+    hi = np.concatenate([row_ub, model.var_ub]) + FEASIBILITY_TOL
+    return bool(((vals >= lo) & (vals <= hi)).all())
 
 
-def solve_model(model: WdpModel, time_limit_secs: float | None = None) -> tuple[dict, float]:
-    """Solve a WdpModel with scipy's HiGHS mixed-integer backend."""
-    from scipy.optimize import LinearConstraint, Bounds, milp
+def solve_model(model: WdpModel) -> tuple[np.ndarray, float]:
+    """Solve a WdpModel with scipy's HiGHS mixed-integer backend; returns
+    the column values and the objective."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
-    nv = len(model.var_names)
-    c = np.zeros(nv)
-    for v, w in model.objective.items():
-        c[model.var_index[v]] = -w  # HiGHS minimizes
-    A = np.zeros((len(model.constraints), nv))
-    lb = np.zeros(len(model.constraints))
-    ub = np.zeros(len(model.constraints))
-    for r, (_, coeffs, clo, cup) in enumerate(model.constraints):
-        for v, w in coeffs.items():
-            A[r, model.var_index[v]] = w
-        lb[r], ub[r] = clo, cup
-    options = {}
-    if time_limit_secs is not None:
-        options["time_limit"] = time_limit_secs
+    c, A, row_lb, row_ub = _matrix(model)
     res = milp(
-        c,
-        constraints=LinearConstraint(A, lb, ub) if len(model.constraints) else (),
+        -c,  # HiGHS minimizes
+        constraints=LinearConstraint(A, row_lb, row_ub),
         bounds=Bounds(np.asarray(model.var_lb), np.asarray(model.var_ub)),
         integrality=np.asarray(model.var_int, dtype=np.int64),
-        options=options,
     )
     if res.status != 0:
         raise InvalidInputError(f"MILP solve failed: {res.message}")
-    values = {name: float(res.x[k]) for k, name in enumerate(model.var_names)}
-    return values, model.objective_value(values)
+    return res.x, model.objective_const + sum(w * float(res.x[v]) for v, w in model.objective.items())
 
 
-def milp_wdp(nets: list[MvnnParams], exclusions=None, prune: bool = True,
-             time_limit_secs: float | None = None) -> WdpSolution:
+def milp_wdp(nets: list[MvnnParams], exclusions=None, prune: bool = True) -> WdpSolution:
     """Winner determination over monotone networks via the MILP encoding."""
     model = encode_milp(nets, exclusions=exclusions, prune=prune)
-    values, obj = solve_model(model, time_limit_secs)
+    x, _ = solve_model(model)
     n, m = len(nets), nets[0].m
-    alloc = np.zeros((n, m), dtype=np.int64)
-    for i in range(n):
-        for j in range(m):
-            v = values[f"a_{i}_{j}"]
-            if min(abs(v), abs(v - 1)) > INTEGRALITY_TOL:
-                raise InvalidInputError(f"non-integral allocation variable a_{i}_{j}={v}")
-            alloc[i, j] = int(round(v))
+    a = x[: n * m].reshape(n, m)
+    off = np.minimum(np.abs(a), np.abs(a - 1)) > INTEGRALITY_TOL
+    if off.any():
+        i, j = np.argwhere(off)[0]
+        raise InvalidInputError(f"non-integral allocation variable a_{i}_{j}={a[i, j]}")
+    alloc = np.round(a).astype(np.int64)
     if (alloc.sum(axis=0) > 1).any():
         raise InvalidInputError("MILP solution assigns an item twice")
     true_obj = float(sum(net.forward(alloc[i].astype(np.float64)) for i, net in enumerate(nets)))
@@ -556,6 +541,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _terms(model: WdpModel, coeffs: dict) -> str:
+    names = model.var_names
+    return " ".join(
+        f"{'-' if w < 0 else '+'} {_fmt(abs(w))} {names[v]}"
+        for v, w in sorted(coeffs.items(), key=lambda vw: names[vw[0]])
+    )
+
+
 def emit_lp_file(model: WdpModel) -> str:
     """Serialize to CPLEX-style LP text (deterministic ordering).
 
@@ -567,24 +560,11 @@ def emit_lp_file(model: WdpModel) -> str:
         f"\\ objective_constant {_fmt(model.objective_const)}",
         "Maximize",
     ]
-    terms = " ".join(
-        f"{'-' if w < 0 else '+'} {_fmt(abs(w))} {v}"
-        for v, w in sorted(model.objective.items())
-    )
-    lines.append(f" obj: {terms if terms else '0 ' + model.var_names[0]}")
+    lines.append(f" obj: {_terms(model, model.objective) or '0 ' + model.var_names[0]}")
     lines.append("Subject To")
     for name, coeffs, lb, ub in model.constraints:
-        body = " ".join(
-            f"{'-' if w < 0 else '+'} {_fmt(abs(w))} {v}" for v, w in sorted(coeffs.items())
-        )
-        if lb == ub:
-            lines.append(f" {name}: {body} = {_fmt(lb)}")
-        else:
-            if np.isfinite(ub):
-                lines.append(f" {name}: {body} <= {_fmt(ub)}")
-            if np.isfinite(lb):
-                suffix = "" if not np.isfinite(ub) else "_lo"
-                lines.append(f" {name}{suffix}: {body} >= {_fmt(lb)}")
+        sense, rhs = ("<=", ub) if math.isfinite(ub) else (">=", lb)
+        lines.append(f" {name}: {_terms(model, coeffs)} {sense} {_fmt(rhs)}")
     lines.append("Bounds")
     for k, name in enumerate(model.var_names):
         if not model.var_int[k]:
@@ -599,11 +579,13 @@ def emit_lp_file(model: WdpModel) -> str:
 
 
 def parse_lp_file(text: str) -> WdpModel:
-    """Parse LP text produced by :func:`emit_lp_file` back into a model."""
+    """Parse LP text produced by :func:`emit_lp_file` back into a model;
+    every row must be one-sided (``<=`` or ``>=``)."""
     model = WdpModel()
     section = None
     obj_const = 0.0
-    rows = []  # (name, coeffs, sense, rhs)
+    objective = {}
+    rows = []  # (name, coeffs by variable name, lb, ub)
     bounds = {}
     binaries = []
     for raw in text.splitlines():
@@ -621,42 +603,28 @@ def parse_lp_file(text: str) -> WdpModel:
             continue
         if section == "maximize":
             _, expr = line.split(":", 1)
-            model.objective = _parse_terms(expr)
+            objective = _parse_terms(expr)
         elif section == "subject to":
             name, rest = line.split(":", 1)
-            for sense in ("<=", ">=", "="):
-                if sense in rest:
-                    body, rhs = rest.rsplit(sense, 1)
-                    rows.append((name.strip(), _parse_terms(body), sense, float(rhs)))
-                    break
+            sense = next((s for s in ("<=", ">=") if s in rest), None)
+            if sense is None:
+                raise InvalidInputError(f"row {name.strip()} is not a <= or >= row")
+            body, rhs = rest.rsplit(sense, 1)
+            side = (-np.inf, float(rhs)) if sense == "<=" else (float(rhs), np.inf)
+            rows.append((name.strip(), _parse_terms(body), *side))
         elif section == "bounds":
             lo, name, hi = line.split("<=")
             bounds[name.strip()] = (float(lo), float(hi))
         elif section == "binary":
             binaries.append(line)
-    names = set()
-    for coeffs in [model.objective] + [r[1] for r in rows]:
-        names.update(coeffs)
-    names.update(bounds)
-    names.update(binaries)
+    names = set(objective).union(bounds, binaries, *(row[1] for row in rows))
+    col = {}
     for name in sorted(names):
-        if name in binaries:
-            model.add_var(name, 0, 1, integer=True)
-        else:
-            lo, hi = bounds.get(name, (0.0, np.inf))
-            model.add_var(name, lo, hi)
-    merged: dict[str, list] = {}
-    for name, coeffs, sense, rhs in rows:
-        base = name[:-3] if name.endswith("_lo") else name
-        entry = merged.setdefault(base, [coeffs, -np.inf, np.inf])
-        if sense == "<=":
-            entry[2] = rhs
-        elif sense == ">=":
-            entry[1] = rhs
-        else:
-            entry[1] = entry[2] = rhs
-    for name, (coeffs, lb, ub) in merged.items():
-        model.add_constraint(name, coeffs, lb, ub)
+        lo, hi = (0, 1) if name in binaries else bounds.get(name, (0.0, np.inf))
+        col[name] = model.add_var(name, lo, hi, integer=name in binaries)
+    for name, coeffs, lb, ub in rows:
+        model.add_constraint(name, {col[v]: w for v, w in coeffs.items()}, lb, ub)
+    model.objective = {col[v]: w for v, w in objective.items()}
     model.objective_const = obj_const
     return model
 

@@ -1,11 +1,14 @@
 """Synthetic value-model generators: monotone, normalized, serializable."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import iterauction as ia
 from iterauction import wdp
+from iterauction.errors import InvalidInputError
 from iterauction.values import ValueModel, _normalized
 
 
@@ -83,3 +86,21 @@ class TestProperties:
         batch = vm.value_batch(X.astype(np.float64))
         for k in range(20):
             assert abs(batch[k] - vm.value(X[k])) <= 1e-12
+
+
+class TestGeneratorConfigJson:
+    def test_round_trip_with_non_default_values(self):
+        cfg = ia.GeneratorConfig(n=3, m=7, bidder_kinds=("coverage", "additive"),
+                                 synergy_density=0.5, synergy_scale=2.0, gamma_range=(0.2, 0.3))
+        obj = json.loads(json.dumps(cfg.to_json_obj()))
+        assert obj["bidder_kinds"] == ["coverage", "additive"] and obj["gamma_range"] == [0.2, 0.3]
+        back = ia.GeneratorConfig.from_json_obj(obj)
+        assert back == cfg
+        assert isinstance(back.bidder_kinds, tuple) and isinstance(back.gamma_range, tuple)
+
+    def test_partial_dict_takes_the_defaults(self):
+        assert ia.GeneratorConfig.from_json_obj({"n": 2, "m": 4}) == ia.GeneratorConfig(n=2, m=4)
+
+    def test_unknown_key_is_rejected(self):
+        with pytest.raises(InvalidInputError):
+            ia.GeneratorConfig.from_json_obj({"n": 2, "m": 4, "synergy_densty": 0.5})

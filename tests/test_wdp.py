@@ -225,6 +225,42 @@ class TestMilpEncoding:
             for x in itertools.product([0, 1], repeat=5):
                 assert check_encoding_at(net, np.array(x, dtype=np.float64))
 
+    def test_encoding_check_reads_the_encoder_rows(self, monkeypatch):
+        # a first-layer ub2 row z <= o - l (1 - alpha) is tight at the empty
+        # bundle; tightening it by 0.05 must show in the check
+        rng = np.random.default_rng(5)
+        net = random_nets(1, 4, rng, hidden=(4, 3))[0]
+        bundles = [np.array(x, dtype=np.float64) for x in itertools.product([0, 1], repeat=4)]
+        assert all(check_encoding_at(net, x) for x in bundles)
+        encode = wdp.encode_milp
+
+        def shifted(nets, exclusions=None, prune=True):
+            model = encode(nets, exclusions=exclusions, prune=prune)
+            r = next(r for r, row in enumerate(model.constraints) if row[0] == "n0_0_0_ub2")
+            name, coeffs, lb, ub = model.constraints[r]
+            model.constraints[r] = (name, coeffs, lb, ub - 0.05)
+            return model
+
+        monkeypatch.setattr(wdp, "encode_milp", shifted)
+        assert not all(check_encoding_at(net, x) for x in bundles)
+
+    def test_allocation_columns_come_first_bidder_major(self):
+        rng = np.random.default_rng(13)
+        n, m = 3, 4
+        model = encode_milp(random_nets(n, m, rng, hidden=(3,)), exclusions=[[np.ones(m)], None, None])
+        assert model.var_names[: n * m] == [f"a_{i}_{j}" for i in range(n) for j in range(m)]
+        assert all(model.var_int[: n * m])
+
+    def test_rows_must_be_one_sided(self):
+        model = wdp.WdpModel()
+        x = model.add_var("x", 0, 1)
+        model.add_constraint("upper", {x: 1.0}, -np.inf, 1.0)
+        model.add_constraint("lower", {x: 1.0}, 0.5, np.inf)
+        for lb, ub in ((0.0, 1.0), (1.0, 1.0), (-np.inf, np.inf)):
+            with pytest.raises(InvalidInputError):
+                model.add_constraint("bad", {x: 1.0}, lb, ub)
+        assert [row[0] for row in model.constraints] == ["upper", "lower"]
+
     def test_milp_matches_brute_force(self):
         rng = np.random.default_rng(6)
         for trial in range(8):
@@ -295,6 +331,12 @@ class TestLpRoundTrip:
         model.objective_const = 1.25
         back = parse_lp_file(emit_lp_file(model))
         assert back.objective_const == 1.25
+
+    def test_parse_rejects_an_equality_row(self):
+        text = emit_lp_file(encode_milp(random_nets(1, 2, np.random.default_rng(14))))
+        parse_lp_file(text)
+        with pytest.raises(InvalidInputError):
+            parse_lp_file(text.replace("Subject To\n", "Subject To\n fix: + 1.0 a_0_0 = 1.0\n"))
 
 
 class TestReportedWdp:
