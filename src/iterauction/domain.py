@@ -9,13 +9,21 @@ bundles a bidder has actually reported.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import DegenerateInstanceError, InvalidInputError
 
 WELFARE_TOL = 1e-9
+
+
+def dataclass_from_json(cls, obj: dict, what: str):
+    """``cls(**obj)``, rejecting the keys that are not fields of the dataclass."""
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise InvalidInputError(f"unknown {what} keys {sorted(unknown)}")
+    return cls(**obj)
 
 
 def as_bundle(x, m: int | None = None) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import ReportSet, efficiency_loss
+from .domain import ReportSet, dataclass_from_json, efficiency_loss
 from .errors import ExhaustedBidderError, InvalidInputError
 from .mvnn import InitHyper, MvnnParams
 from .training import TrainHyper, train_mean
@@ -72,16 +72,15 @@ class MechanismConfig:
             ("budget", SolveBudget),
         ):
             if key in obj and isinstance(obj[key], dict):
-                obj[key] = typ(**obj[key])
+                obj[key] = dataclass_from_json(typ, obj[key], key)
         if "hidden_dims" in obj:
             obj["hidden_dims"] = tuple(obj["hidden_dims"])
-        return cls(**obj)
+        return dataclass_from_json(cls, obj, "mechanism config")
 
 
 @dataclass
 class RoundLog:
     round_index: int
-    economies: list
     queries: list  # (bidder, bundle tuple)
     reported_welfare: float
     efficiency_loss: float | None
@@ -256,7 +255,6 @@ def run_mlca(instance, config: MechanismConfig, seed: int = 0) -> AuctionOutcome
             break
         pending: dict[int, set] = {i: set() for i in range(n)}
         queries: list[tuple[int, np.ndarray]] = []
-        economies_used = []
 
         if config.acquisition == "random":
             for i in range(n):
@@ -282,7 +280,6 @@ def run_mlca(instance, config: MechanismConfig, seed: int = 0) -> AuctionOutcome
             picks = [(i, removed) for i in range(n) for removed in schedule[i]]
             for i, removed in picks + [(i, None) for i in range(n)]:
                 economy = [j for j in range(n) if j != removed]
-                economies_used.append((i, removed))
                 b = next_query(i, economy, nets, m, excluded_for(i), config.budget, solves)
                 pending[i].add(tuple(b))
                 queries.append((i, b))
@@ -294,7 +291,6 @@ def run_mlca(instance, config: MechanismConfig, seed: int = 0) -> AuctionOutcome
         round_logs.append(
             RoundLog(
                 round_index=r,
-                economies=economies_used,
                 queries=[(i, tuple(int(v) for v in b)) for i, b in queries],
                 reported_welfare=float(sol.objective),
                 efficiency_loss=loss,

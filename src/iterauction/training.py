@@ -26,9 +26,6 @@ class TrainHyper:
     learning_rate: float = 0.01
     l2_lambda: float = 1e-6
     epochs: int = 200
-    batch_size: int | None = None  # None = full batch
-    dropout_p: float = 0.0
-    dropout_decay: float = 1.0
     clip_grad_norm: float = 1.0
     smooth_l1_beta: float = 1.0 / 64.0
     trainable_cutoffs: bool = False
@@ -39,8 +36,6 @@ class TrainHyper:
         self.cutoff_init_range = tuple(self.cutoff_init_range)
         if self.learning_rate <= 0 or self.epochs < 1:
             raise InvalidInputError("learning rate and epochs must be positive")
-        if not (0 <= self.dropout_p <= 0.8):
-            raise InvalidInputError("dropout probability must lie in [0, 0.8]")
         if self.smooth_l1_beta < 0 or self.l2_lambda < 0:
             raise InvalidInputError("beta and lambda must be non-negative")
 
@@ -66,19 +61,14 @@ def smooth_l1_grad(x, y, beta: float):
 # ---------------------------------------------------------------------------
 
 
-def forward_cache(params: MvnnParams, X: np.ndarray, masks=None):
-    """Forward pass keeping pre- and post-activations for backprop.
-
-    ``masks`` are optional inverted-dropout multipliers per hidden layer.
-    """
+def forward_cache(params: MvnnParams, X: np.ndarray):
+    """Forward pass keeping pre- and post-activations for backprop."""
     Z = [X]
     O = []
     z = X
     for k in range(params.num_hidden):
         o = z @ params.weights[k].T + params.biases[k]
         z = np.minimum(np.maximum(o, 0.0), params.cutoffs[k])
-        if masks is not None:
-            z = z * masks[k]
         O.append(o)
         Z.append(z)
     out = (z @ params.weights[-1].T).ravel()
@@ -134,20 +124,14 @@ class Grads:
     def zeros_like(cls, params: MvnnParams) -> "Grads":
         return cls(_layout_of(params))
 
-    def add(self, other: "Grads") -> None:
-        self.flat += other.flat
-
     def arrays(self):
         return self.weights + self.biases + self.cutoffs + _optional(self.skip)
 
     def global_norm(self) -> float:
         return float(np.sqrt(sum(float((g * g).sum()) for g in self.arrays())))
 
-    def scale(self, c: float) -> None:
-        self.flat *= c
 
-
-def _backward(g: Grads, params: MvnnParams, X, O, Z, out_grad, masks, add: bool) -> None:
+def _backward(g: Grads, params: MvnnParams, X, O, Z, out_grad, add: bool) -> None:
     """Write into ``g`` (or, with ``add``, add to it) the parameter gradients
     of sum_b out_grad[b] * net(X[b])."""
     put = (lambda dst, val: np.add(dst, val, out=dst)) if add else np.copyto
@@ -156,8 +140,6 @@ def _backward(g: Grads, params: MvnnParams, X, O, Z, out_grad, masks, add: bool)
         put(g.skip, out_grad @ X)
     delta = out_grad[:, None] * params.weights[-1]
     for k in range(params.num_hidden - 1, -1, -1):
-        if masks is not None:
-            delta = delta * masks[k]
         o, t = O[k], params.cutoffs[k]
         # z = t on the saturated region; subgradient 0 at the kinks themselves
         put(g.cutoffs[k], (delta * (o > t)).sum(axis=0))
@@ -167,15 +149,19 @@ def _backward(g: Grads, params: MvnnParams, X, O, Z, out_grad, masks, add: bool)
         delta = do @ params.weights[k]
 
 
-def add_l2_grads(g: Grads, params: MvnnParams, lam: float) -> float:
-    """Add gradients of lam * ||theta||^2 (weights, biases, skip); return the
-    penalty value."""
+def _regularised(params: MvnnParams) -> np.ndarray:
+    """Weights, skip and biases as one vector, the ``[:n_reg]`` of ``_Layout``."""
+    return np.concatenate([a.ravel() for a in params.weights + _optional(params.skip)
+                           + params.biases])
+
+
+def _add_l2(g: Grads, theta: np.ndarray, lam: float) -> float:
+    """Add 2 * lam * theta, the gradient of lam * ||theta||^2, to the same
+    prefix of ``g.flat``, for ``theta`` as ``_regularised``; return the penalty."""
     if lam == 0:
         return 0.0
-    thetas = params.weights + params.biases + _optional(params.skip)
-    for gt, theta in zip(g.weights + g.biases + _optional(g.skip), thetas):
-        gt += 2 * lam * theta
-    return lam * sum(float((theta * theta).sum()) for theta in thetas)
+    g.flat[: theta.size] += 2 * lam * theta
+    return lam * float(theta @ theta)
 
 
 class Adam:
@@ -194,8 +180,7 @@ class Adam:
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
         self._layout = _layout_of(params)
-        self._theta = np.concatenate([a.ravel() for a in params.weights + _optional(params.skip)
-                                      + params.biases + params.cutoffs])
+        self._theta = np.concatenate([_regularised(params), *params.cutoffs])
         params.weights, params.skip, params.biases, params.cutoffs = self._layout.views(self._theta)
         # frozen cutoffs are the vector's tail: only the prefix is stepped
         self._n_step = self._layout.size if hyper.trainable_cutoffs else self._layout.n_reg
@@ -203,12 +188,11 @@ class Adam:
         self._v = np.zeros(self._n_step)
 
     def step(self, grads: Grads) -> None:
-        h, n, n_reg = self.hyper, self._n_step, self._layout.n_reg
-        if h.l2_lambda != 0:
-            grads.flat[:n_reg] += 2 * h.l2_lambda * self._theta[:n_reg]
+        h, n = self.hyper, self._n_step
+        _add_l2(grads, self._theta[: self._layout.n_reg], h.l2_lambda)
         norm = grads.global_norm()
         if h.clip_grad_norm and norm > h.clip_grad_norm:
-            grads.scale(h.clip_grad_norm / (norm + 1e-12))
+            grads.flat *= h.clip_grad_norm / (norm + 1e-12)
         self.t += 1
         b1c = 1 - self.beta1**self.t
         b2c = 1 - self.beta2**self.t
@@ -232,22 +216,21 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 
-def _mean_data_grads(g: Grads, params: MvnnParams, X, y, hyper: TrainHyper, masks):
+def _mean_data_grads(g: Grads, params: MvnnParams, X, y, hyper: TrainHyper):
     """Write into ``g`` the gradients of the smooth-L1 batch mean; return
     the network's outputs."""
-    out, O, Z = forward_cache(params, X, masks)
+    out, O, Z = forward_cache(params, X)
     out_grad = smooth_l1_grad(out, y, hyper.smooth_l1_beta) / X.shape[0]
-    _backward(g, params, X, O, Z, out_grad, masks, add=False)
+    _backward(g, params, X, O, Z, out_grad, add=False)
     return out
 
 
-def mean_loss_and_grads(params: MvnnParams, X, y, hyper: TrainHyper, masks=None):
-    """Smooth-L1 data loss (batch mean) plus L2 penalty, with gradients;
-    ``masks`` are optional dropout multipliers as in :func:`forward_cache`."""
+def mean_loss_and_grads(params: MvnnParams, X, y, hyper: TrainHyper):
+    """Smooth-L1 data loss (batch mean) plus L2 penalty, with gradients."""
     g = Grads.zeros_like(params)
-    out = _mean_data_grads(g, params, X, y, hyper, masks)
+    out = _mean_data_grads(g, params, X, y, hyper)
     data = float(smooth_l1(out, y, hyper.smooth_l1_beta).mean())
-    return data + add_l2_grads(g, params, hyper.l2_lambda), g
+    return data + _add_l2(g, _regularised(params), hyper.l2_lambda), g
 
 
 def r_squared(pred: np.ndarray, y: np.ndarray) -> float:
@@ -258,36 +241,22 @@ def r_squared(pred: np.ndarray, y: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def _dropout_masks(params: MvnnParams, B: int, p: float, rng) -> list[np.ndarray] | None:
-    if p <= 0:
-        return None
-    masks = []
-    for k in range(params.num_hidden):
-        d = params.weights[k].shape[0]
-        masks.append((rng.random((B, d)) >= p) / (1.0 - p))
-    return masks
-
-
 def _train_loop(params: MvnnParams, X, y, hyper: TrainHyper, rng, batch_grads, score):
-    """Adam over shuffled mini-batches of (X, y); returns the parameters and
-    score of the epoch (the start counting as epoch 0) with the lowest
-    ``score(params)``.  ``batch_grads(g, params, xb, yb, p_drop)`` writes
-    into ``g`` one batch's data-loss gradients at the current, decayed
-    dropout probability; ``Adam.step`` adds the L2 term."""
+    """One full-batch Adam step per epoch on (X, y); returns the parameters
+    and score of the epoch (the start counting as epoch 0) with the lowest
+    ``score(params)``.  ``batch_grads(g, params, X, y)`` writes into ``g``
+    the data-loss gradients; ``Adam.step`` adds the L2 term."""
     n = X.shape[0]
-    bs = hyper.batch_size or n
     opt = Adam(params, hyper)
     g = Grads.zeros_like(params)
     best = params.copy()
     best_loss = score(params)
-    p_drop = hyper.dropout_p
     for _ in range(hyper.epochs):
-        order = rng.permutation(n)
-        for s in range(0, n, bs):
-            idx = order[s : s + bs]
-            batch_grads(g, params, X[idx], y[idx], p_drop)
-            opt.step(g)
-        p_drop *= hyper.dropout_decay
+        # The shuffle leaves the full-batch loss unchanged, but it fixes the
+        # rows' summation order and the random stream the callbacks share.
+        idx = rng.permutation(n)
+        batch_grads(g, params, X[idx], y[idx])
+        opt.step(g)
         cur = score(params)
         if cur < best_loss:
             best_loss = cur
@@ -321,11 +290,7 @@ def train_mean(
         params = init_params(
             layer_dims, init_hyper, train_hyper.cutoff_init_range, rng, skip=skip
         )
-
-        def batch_grads(g, p, xb, yb, p_drop):
-            masks = _dropout_masks(p, xb.shape[0], p_drop, rng)
-            _mean_data_grads(g, p, xb, yb, train_hyper, masks)
-
+        batch_grads = functools.partial(_mean_data_grads, hyper=train_hyper)
         return _train_loop(params, X, y, train_hyper, rng, batch_grads, train_mae)
 
     best, best_mae = attempt(seed)

@@ -21,10 +21,10 @@ from .mvnn import MvnnParams, init_params
 from .training import (
     Grads,
     TrainHyper,
+    _add_l2,
     _backward,
-    _dropout_masks,
+    _regularised,
     _train_loop,
-    add_l2_grads,
     forward_cache,
     smooth_l1,
     smooth_l1_grad,
@@ -251,11 +251,11 @@ def _frozen_terms(mean_net, exact_net, X, y, X_art, hyper: NomuHyper, beta: floa
 
 
 def _nomu_grads(g: Grads, uub_net, mean_net, exact_net, X, y, X_art, hyper: NomuHyper,
-                beta: float, masks, art_masks, values: bool, only_term: str | None = None) -> float:
+                beta: float, values: bool, only_term: str | None = None) -> float:
     """Write into ``g`` the loss gradients without L2 (of ``only_term``
     alone if given); return the loss, or 0.0 unless ``values``."""
-    out_tr, O_tr, Z_tr = forward_cache(uub_net, X, masks)
-    out_art, O_art, Z_art = forward_cache(uub_net, X_art, art_masks)
+    out_tr, O_tr, Z_tr = forward_cache(uub_net, X)
+    out_art, O_art, Z_art = forward_cache(uub_net, X_art)
     terms = _loss_terms(out_tr, out_art, y, mean_net.forward(X_art), exact_net.forward(X_art),
                         hyper, beta, values=values)
     loss = 0.0
@@ -267,14 +267,14 @@ def _nomu_grads(g: Grads, uub_net, mean_net, exact_net, X, y, X_art, hyper: Nomu
         loss += value
         gout_tr += d_tr
         gout_art += d_art
-    _backward(g, uub_net, X, O_tr, Z_tr, gout_tr, masks, add=False)
-    _backward(g, uub_net, X_art, O_art, Z_art, gout_art, art_masks, add=True)
+    _backward(g, uub_net, X, O_tr, Z_tr, gout_tr, add=False)
+    _backward(g, uub_net, X_art, O_art, Z_art, gout_art, add=True)
     return loss
 
 
 def nomu_loss_and_grads(uub_net: MvnnParams, mean_net: MvnnParams, exact_net: MvnnParams, X, y,
-                        X_art, hyper: NomuHyper, train_hyper: TrainHyper, masks=None,
-                        art_masks=None, only_term: str | None = None):
+                        X_art, hyper: NomuHyper, train_hyper: TrainHyper,
+                        only_term: str | None = None):
     """Loss and parameter gradients for the learned upper bound.
 
     Only ``uub_net`` receives gradients.  ``only_term`` restricts the result
@@ -282,9 +282,9 @@ def nomu_loss_and_grads(uub_net: MvnnParams, mean_net: MvnnParams, exact_net: Mv
     """
     g = Grads.zeros_like(uub_net)
     loss = _nomu_grads(g, uub_net, mean_net, exact_net, X, y, X_art, hyper,
-                       train_hyper.smooth_l1_beta, masks, art_masks, True, only_term)
+                       train_hyper.smooth_l1_beta, True, only_term)
     if only_term is None:
-        loss += add_l2_grads(g, uub_net, train_hyper.l2_lambda)
+        loss += _add_l2(g, _regularised(uub_net), train_hyper.l2_lambda)
     return loss, g
 
 
@@ -293,8 +293,8 @@ def train_uub(reports: list[tuple[np.ndarray, float]], mean_net: MvnnParams, exa
               seed: int = 0, skip: bool = False) -> MvnnParams:
     """Train the learned upper bound against frozen mean and exact networks.
 
-    Artificial comparison points are drawn fresh from Unif([0,1]^m) for
-    every batch; best-epoch parameters are kept, scored on a fixed
+    Artificial comparison points are drawn fresh from Unif([0,1]^m) every
+    epoch; best-epoch parameters are kept, scored on a fixed
     artificial sample so the selection criterion is not itself noisy.
     """
     if not reports:
@@ -308,12 +308,9 @@ def train_uub(reports: list[tuple[np.ndarray, float]], mean_net: MvnnParams, exa
     X_eval = rng.uniform(0.0, 1.0, size=(max(nomu_hyper.n_art, 128), m))
     beta = train_hyper.smooth_l1_beta
 
-    def batch_grads(g, p, xb, yb, p_drop):
+    def batch_grads(g, p, xb, yb):
         X_art = rng.uniform(0.0, 1.0, size=(nomu_hyper.n_art, m))
-        masks = _dropout_masks(p, xb.shape[0], p_drop, rng)
-        art_masks = _dropout_masks(p, X_art.shape[0], p_drop, rng)
-        _nomu_grads(g, p, mean_net, exact_net, xb, yb, X_art, nomu_hyper, beta, masks, art_masks,
-                    values=False)
+        _nomu_grads(g, p, mean_net, exact_net, xb, yb, X_art, nomu_hyper, beta, values=False)
 
     eval_terms = _frozen_terms(mean_net, exact_net, X, y, X_eval, nomu_hyper, beta)
     best, _ = _train_loop(params, X, y, train_hyper, rng, batch_grads,

@@ -12,11 +12,11 @@ construction, and all normalized so the full bundle is worth exactly 1:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .domain import AuctionInstance, as_bundle
+from .domain import AuctionInstance, as_bundle, dataclass_from_json
 from .errors import InvalidInputError, UnsupportedSizeError
 
 KINDS = ("additive", "pairwise-synergy", "coverage")
@@ -133,10 +133,7 @@ class GeneratorConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GeneratorConfig":
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise InvalidInputError(f"unknown generator keys {sorted(unknown)}")
-        return cls(**obj)
+        return dataclass_from_json(cls, obj, "generator")
 
 
 def _random_model(kind: str, m: int, cfg: GeneratorConfig, rng: np.random.Generator) -> ValueModel:

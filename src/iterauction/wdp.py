@@ -155,6 +155,8 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
     past the deadline until the first feasible leaf), and the proven gap
     covers that node and every unexplored sibling on the path to it.
     """
+    if m < 1:
+        raise InvalidInputError("need at least one item")
     budget = budget or SolveBudget()
     n = len(evaluators)
     excl = _exclusion_sets(n, exclusions)
@@ -172,10 +174,6 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
     # best bound among the not-yet-explored siblings at each depth
     frontier = [-np.inf] * m
     state = {"best_w": None, "best_alloc": None, "nodes": 0}
-
-    def bound() -> float:
-        X = np.minimum(bundles + undecided, 1.0)
-        return float(sum(np.asarray(ev(X[i : i + 1]))[0] for i, ev in enumerate(evaluators)))
 
     def leaf(w: float):
         for i in range(n):
@@ -198,19 +196,19 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
         children = []
         for choice in range(n + 1):  # bidders 0..n-1, then nobody
             b = 0.0
-            for i in range(n):  # summed in bidder order, like bound()
+            for i in range(n):  # summed in bidder order
                 b += with_j[i] if i == choice else without_j[i]
             children.append((b, choice))
         return children
 
-    def recurse(depth: int, node_bound: float | None):
+    def recurse(depth: int, node_bound: float):
         state["nodes"] += 1
         # past the deadline with no incumbent, keep diving to a feasible leaf
         if time.monotonic() > deadline and state["best_w"] is not None:
             state["abandoned"] = max([node_bound, *frontier[:depth]])
             raise _TimeUp
         if depth == m:
-            leaf(bound() if node_bound is None else node_bound)
+            leaf(node_bound)
             return
         j = order[depth]
         children = child_bounds(j)
@@ -234,7 +232,7 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
     status = "optimal" if budget.relative_gap == 0 else "gap_limit"
     proven_gap = budget.relative_gap
     try:
-        recurse(0, None)
+        recurse(0, np.inf)  # the root's bound is never read: no incumbent, no leaf
     except _TimeUp:
         status = "time_limit"
         w = state["best_w"]

@@ -218,3 +218,14 @@ class TestRunMlca:
         back = MechanismConfig.from_json_obj(json.loads(json.dumps(cfg.to_json_obj())))
         assert back == cfg
         assert isinstance(back.train_hyper.cutoff_init_range, tuple)
+
+    @pytest.mark.parametrize("obj, unknown", [
+        ({"train_hyper": {"dropout_p": 0.2}}, "dropout_p"),
+        ({"init_hyper": {"e_init": 1.0, "scale": 2.0}}, "scale"),
+        ({"nomu_hyper": {"n_artificial": 8}}, "n_artificial"),
+        ({"budget": {"gap": 0.0}}, "gap"),
+        ({"q_init": 4, "epochs": 10}, "epochs"),
+    ])
+    def test_config_json_rejects_unknown_keys(self, obj, unknown):
+        with pytest.raises(ia.InvalidInputError, match=unknown):
+            MechanismConfig.from_json_obj(obj)

@@ -15,6 +15,7 @@ from iterauction.training import (
     smooth_l1_grad,
     train_mean,
 )
+from iterauction.uub import NomuHyper, build_exact_uub, nomu_loss_and_grads
 
 from _gradcheck import param_arrays, preactivations_kink_free, worst_relative_error
 
@@ -60,6 +61,38 @@ class TestGradients:
         loss_with, _ = mean_loss_and_grads(p, X, y, hyper)
         loss_without, _ = mean_loss_and_grads(p, X, y, TrainHyper(l2_lambda=0.0))
         assert loss_with > loss_without
+
+    @pytest.mark.parametrize("loss", ["mean", "nomu"])
+    def test_l2_adds_its_gradient_and_penalty(self, loss):
+        lam = 0.1
+        m = 4
+        rng = np.random.default_rng(5)
+        p = init_params([m, 3, 3, 1], InitHyper(), (0.3, 1.0), seed=6, skip=True)
+        X = (rng.random((6, m)) < 0.5).astype(float)
+        X[0] = 1.0
+        y = rng.random(6)
+        if loss == "mean":
+            def fn(hyper):
+                return mean_loss_and_grads(p, X, y, hyper)
+        else:
+            exact = build_exact_uub(list(zip(X, y)))
+            mean = init_params([m, 3, 1], InitHyper(), (0.3, 1.0), seed=7)
+            X_art = rng.random((8, m))
+
+            def fn(hyper):
+                return nomu_loss_and_grads(p, mean, exact, X, y, X_art, NomuHyper(), hyper)
+
+        loss_with, g_with = fn(TrainHyper(l2_lambda=lam))
+        loss_without, g_without = fn(TrainHyper(l2_lambda=0.0))
+        regularised = p.weights + [p.skip] + p.biases
+        for gw, go, theta in zip(g_with.weights + [g_with.skip] + g_with.biases,
+                                 g_without.weights + [g_without.skip] + g_without.biases,
+                                 regularised):
+            assert (gw == go + 2 * lam * theta).all()
+        for gw, go in zip(g_with.cutoffs, g_without.cutoffs):
+            assert (gw == go).all()
+        penalty = lam * sum(float((theta * theta).sum()) for theta in regularised)
+        assert loss_with - loss_without == pytest.approx(penalty, rel=1e-12)
 
 
 class TestAdamProjection:

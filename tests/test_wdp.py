@@ -162,6 +162,10 @@ class TestBranchAndBound:
         best = brute_force_wdp(evs, m, exclusions=excl)
         assert best.objective <= sol.objective * (1 + sol.proven_gap) + 1e-9
 
+    def test_no_items_rejected(self):
+        with pytest.raises(InvalidInputError, match="at least one item"):
+            solve_wdp([lambda X: np.zeros(len(X))], 0)
+
 
 @st.composite
 def wdp_instances(draw):
