@@ -19,7 +19,10 @@ WELFARE_TOL = 1e-9
 
 
 def dataclass_from_json(cls, obj: dict, what: str):
-    """``cls(**obj)``, rejecting the keys that are not fields of the dataclass."""
+    """``cls(**obj)``, rejecting a non-dict and the keys that are not fields
+    of the dataclass."""
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{what} must be a JSON object, got {obj!r}")
     unknown = set(obj) - {f.name for f in fields(cls)}
     if unknown:
         raise InvalidInputError(f"unknown {what} keys {sorted(unknown)}")

@@ -50,6 +50,10 @@ class MechanismConfig:
             raise InvalidInputError("q_init and q_round must be positive")
         if self.q_max < self.q_init:
             raise InvalidInputError("q_max must be at least q_init")
+        dims = self.hidden_dims
+        if not isinstance(dims, (tuple, list)) or any(type(w) is not int or w < 1 for w in dims):
+            raise InvalidInputError(f"hidden_dims must be positive ints, got {dims!r}")
+        self.hidden_dims = tuple(dims)
 
     @property
     def rounds(self) -> int:
@@ -71,10 +75,8 @@ class MechanismConfig:
             ("nomu_hyper", NomuHyper),
             ("budget", SolveBudget),
         ):
-            if key in obj and isinstance(obj[key], dict):
+            if key in obj:
                 obj[key] = dataclass_from_json(typ, obj[key], key)
-        if "hidden_dims" in obj:
-            obj["hidden_dims"] = tuple(obj["hidden_dims"])
         return dataclass_from_json(cls, obj, "mechanism config")
 
 
@@ -145,7 +147,7 @@ def fit_bidder_models(reports_i, config: MechanismConfig, seed: int) -> MvnnPara
 def next_query(
     bidder: int,
     economy: list[int],
-    nets: dict[int, MvnnParams],
+    nets: list[MvnnParams],
     m: int,
     excluded_bundles: set,
     budget: SolveBudget,
@@ -173,34 +175,19 @@ def next_query(
     return sol.allocation[economy.index(bidder)].astype(np.int64)
 
 
-def _marginal_schedule(n: int, q_round: int, state: dict) -> list[list[int | None]]:
+def _marginal_schedule(n: int, q_round: int, r: int) -> list[list[int | None]]:
     """For each bidder, q_round - 1 marginal economies (identified by the
-    removed bidder, never the bidder itself).
+    removed bidder, never the bidder itself) for round r.
 
-    Pick t gives bidder i the economy (i + shift_t) mod n with a nonzero
-    shift rotating across rounds (`state["shift"]` persists between calls),
-    so every marginal economy is used exactly once per pick-wave and global
-    usage counts stay exactly balanced.  With a single bidder there is no
-    marginal economy and None entries fall back to the main economy."""
-    base = state.setdefault("shift", 0)
-    schedule = []
-    for i in range(n):
-        picks = []
-        for t in range(q_round - 1):
-            if n == 1:
-                picks.append(None)
-                continue
-            shift = (base + t) % (n - 1) + 1
-            picks.append((i + shift) % n)
-        schedule.append(picks)
-    if n > 1:
-        state["shift"] = (base + q_round - 1) % (n - 1)
-    return schedule
-
-
-def _reported_value(reports: ReportSet, bidder: int, bundle) -> float:
-    v = reports.value_of(bidder, bundle)
-    return 0.0 if v is None else v
+    Pick t gives bidder i the economy (i + shift) mod n with the nonzero
+    shift (r * (q_round - 1) + t) mod (n - 1) + 1, which rotates across
+    rounds, so every marginal economy is used exactly once per pick-wave and
+    global usage counts stay exactly balanced.  With a single bidder there
+    is no marginal economy and None entries fall back to the main economy."""
+    if n == 1:
+        return [[None] * (q_round - 1)]
+    shifts = [(r * (q_round - 1) + t) % (n - 1) + 1 for t in range(q_round - 1)]
+    return [[(i + shift) % n for shift in shifts] for i in range(n)]
 
 
 def vcg_payments(reports: ReportSet) -> tuple[np.ndarray, np.ndarray]:
@@ -213,12 +200,8 @@ def vcg_payments(reports: ReportSet) -> tuple[np.ndarray, np.ndarray]:
         others = [j for j in range(n) if j != i]
         if not others:
             continue
-        reduced = reports.restricted_to(others)
-        marginal = solve_reported_wdp(reduced)
-        with_i = sum(_reported_value(reports, j, main.allocation[j]) for j in others)
-        without_i = sum(
-            _reported_value(reduced, k, marginal.allocation[k]) for k in range(len(others))
-        )
+        without_i = solve_reported_wdp(reports.restricted_to(others)).objective
+        with_i = sum(reports.value_of(j, main.allocation[j]) or 0.0 for j in others)
         payments[i] = max(0.0, without_i - with_i)
     return main.allocation, payments
 
@@ -243,45 +226,36 @@ def run_mlca(instance, config: MechanismConfig, seed: int = 0) -> AuctionOutcome
             ask(i, b)
 
     round_logs = []
-    stopped_early = False
     solves: list = []
-    schedule_state: dict = {}
 
     loss = efficiency_loss(solve_reported_wdp(reports).allocation, instance) if config.rounds else None
     for r in range(config.rounds):
         if config.early_stop and loss == 0.0:
-            stopped_early = True
             log.info("round %d: zero efficiency loss, stopping early", r)
             break
-        pending: dict[int, set] = {i: set() for i in range(n)}
         queries: list[tuple[int, np.ndarray]] = []
 
         if config.acquisition == "random":
             for i in range(n):
-                known = {tuple(b) for b in reports.bundles_of(i)}
+                known = reports.bundles_of(i)
                 for _ in range(config.q_round):
                     b = _random_novel_bundle(m, known, rng)
                     known.add(tuple(b))
                     queries.append((i, b))
         else:
-            nets = {
-                i: fit_bidder_models(reports.per_bidder[i], config, seed=seed * 1000 + r * 10 + i)
+            nets = [
+                fit_bidder_models(reports.per_bidder[i], config, seed=seed * 1000 + r * 10 + i)
                 for i in range(n)
-            }
-
-            def excluded_for(i: int) -> set:
-                out = {tuple(np.zeros(m, dtype=np.int64))}
-                out |= {tuple(b) for b in reports.bundles_of(i)}
-                out |= pending[i]
-                return out
-
-            schedule = _marginal_schedule(n, config.q_round, schedule_state)
+            ]
+            # a query is never empty and never repeats a report or an earlier pick
+            excluded = [reports.bundles_of(i) | {(0,) * m} for i in range(n)]
+            schedule = _marginal_schedule(n, config.q_round, r)
             # every bidder's marginal economies first, then the main economy
             picks = [(i, removed) for i in range(n) for removed in schedule[i]]
             for i, removed in picks + [(i, None) for i in range(n)]:
                 economy = [j for j in range(n) if j != removed]
-                b = next_query(i, economy, nets, m, excluded_for(i), config.budget, solves)
-                pending[i].add(tuple(b))
+                b = next_query(i, economy, nets, m, excluded[i], config.budget, solves)
+                excluded[i].add(tuple(b))
                 queries.append((i, b))
 
         for i, b in queries:
@@ -308,6 +282,6 @@ def run_mlca(instance, config: MechanismConfig, seed: int = 0) -> AuctionOutcome
         rounds_run=len(round_logs),
         round_logs=round_logs,
         elapsed_secs=time.monotonic() - t0,
-        stopped_early=stopped_early,
+        stopped_early=len(round_logs) < config.rounds,
         nonoptimal_queries=sum(s.status != "optimal" for s in solves),
     )

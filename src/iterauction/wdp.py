@@ -577,44 +577,53 @@ def emit_lp_file(model: WdpModel) -> str:
 
 
 def parse_lp_file(text: str) -> WdpModel:
-    """Parse LP text produced by :func:`emit_lp_file` back into a model;
-    every row must be one-sided (``<=`` or ``>=``)."""
+    """Parse LP text produced by :func:`emit_lp_file` back into a model.
+
+    Only that dialect is read: one maximized objective, one-sided rows
+    (``<=`` or ``>=``), two-sided bounds and binaries.  Any other line
+    raises :class:`InvalidInputError` naming it."""
     model = WdpModel()
     section = None
     obj_const = 0.0
-    objective = {}
+    objective = None
     rows = []  # (name, coeffs by variable name, lb, ub)
     bounds = {}
     binaries = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("\\"):
-            parts = line[1:].split()
-            if parts and parts[0] == "objective_constant":
-                obj_const = float(parts[1])
-            continue
-        low = line.lower()
-        if low in ("maximize", "minimize", "subject to", "bounds", "binary", "end"):
-            section = low
-            continue
-        if section == "maximize":
-            _, expr = line.split(":", 1)
-            objective = _parse_terms(expr)
-        elif section == "subject to":
-            name, rest = line.split(":", 1)
-            sense = next((s for s in ("<=", ">=") if s in rest), None)
-            if sense is None:
-                raise InvalidInputError(f"row {name.strip()} is not a <= or >= row")
-            body, rhs = rest.rsplit(sense, 1)
-            side = (-np.inf, float(rhs)) if sense == "<=" else (float(rhs), np.inf)
-            rows.append((name.strip(), _parse_terms(body), *side))
-        elif section == "bounds":
-            lo, name, hi = line.split("<=")
-            bounds[name.strip()] = (float(lo), float(hi))
-        elif section == "binary":
-            binaries.append(line)
+        try:
+            if line.startswith("\\"):
+                parts = line[1:].split()
+                if parts and parts[0] == "objective_constant":
+                    (value,) = parts[1:]
+                    obj_const = float(value)
+                continue
+            if line in ("Maximize", "Subject To", "Bounds", "Binary", "End"):
+                section = line
+                continue
+            if section == "Maximize" and objective is None:
+                _, expr = line.split(":", 1)
+                objective = _parse_terms(expr)
+            elif section == "Subject To":
+                name, rest = line.split(":", 1)
+                sense = next((s for s in ("<=", ">=") if s in rest), None)
+                if sense is None:
+                    raise ValueError(f"row {name.strip()} is not a <= or >= row")
+                body, rhs = rest.rsplit(sense, 1)
+                side = (-np.inf, float(rhs)) if sense == "<=" else (float(rhs), np.inf)
+                rows.append((name.strip(), _parse_terms(body), *side))
+            elif section == "Bounds":
+                lo, name, hi = line.split("<=")
+                bounds[_lp_name(name.strip())] = (float(lo), float(hi))
+            elif section == "Binary":
+                binaries.append(_lp_name(line))
+            else:
+                raise ValueError("not part of an emitted LP file")
+        except ValueError as exc:
+            raise InvalidInputError(f"LP line {lineno} {line!r}: {exc}") from exc
+    objective = objective or {}
     names = set(objective).union(bounds, binaries, *(row[1] for row in rows))
     col = {}
     for name in sorted(names):
@@ -627,23 +636,25 @@ def parse_lp_file(text: str) -> WdpModel:
     return model
 
 
+def _lp_name(token: str) -> str:
+    """An LP variable name: one token that starts with a letter or _."""
+    if not token or " " in token or not (token[0].isalpha() or token[0] == "_"):
+        raise ValueError(f"{token!r} is not a variable name")
+    return token
+
+
 def _parse_terms(expr: str) -> dict:
-    coeffs: dict[str, float] = {}
+    """``sign coefficient name`` triples as :func:`_terms` writes them, or
+    the unsigned ``0 name`` pair of an empty objective."""
     tokens = expr.split()
-    sign = 1.0
-    k = 0
-    while k < len(tokens):
-        tok = tokens[k]
-        if tok == "+":
-            sign = 1.0
-            k += 1
-        elif tok == "-":
-            sign = -1.0
-            k += 1
-        else:
-            value = float(tok)
-            name = tokens[k + 1]
-            coeffs[name] = coeffs.get(name, 0.0) + sign * value
-            sign = 1.0
-            k += 2
+    if len(tokens) == 2:
+        tokens.insert(0, "+")
+    if len(tokens) % 3:
+        raise ValueError("terms must be '+/- coefficient name'")
+    coeffs: dict[str, float] = {}
+    for sign, value, name in zip(tokens[0::3], tokens[1::3], tokens[2::3]):
+        if sign not in ("+", "-"):
+            raise ValueError(f"expected + or - before {value!r}, got {sign!r}")
+        name = _lp_name(name)
+        coeffs[name] = coeffs.get(name, 0.0) + (1.0 if sign == "+" else -1.0) * float(value)
     return coeffs

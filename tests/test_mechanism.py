@@ -36,30 +36,43 @@ class TestInitialQueries:
 
 class TestMarginalSchedule:
     def test_balanced_counts(self):
-        state = {}
         counts = {i: 0 for i in range(4)}
-        for _ in range(6):  # six rounds of q_round = 3
-            for picks in _marginal_schedule(4, 3, state):
+        for r in range(6):  # six rounds of q_round = 3
+            for picks in _marginal_schedule(4, 3, r):
                 for j in picks:
                     counts[j] += 1
         values = list(counts.values())
         assert max(values) - min(values) <= 1
 
     def test_never_schedules_own_marginal(self):
-        schedule = _marginal_schedule(3, 3, {})
+        schedule = _marginal_schedule(3, 3, 0)
         for i, picks in enumerate(schedule):
             assert i not in picks
             assert len(picks) == 2
 
     def test_rotation_varies_across_rounds(self):
-        state = {}
-        first = _marginal_schedule(3, 2, state)
-        second = _marginal_schedule(3, 2, state)
+        first = _marginal_schedule(3, 2, 0)
+        second = _marginal_schedule(3, 2, 1)
         assert first != second
 
     def test_single_bidder_falls_back_to_main(self):
-        schedule = _marginal_schedule(1, 3, {})
+        schedule = _marginal_schedule(1, 3, 0)
         assert schedule == [[None, None]]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("q_round", [2, 3, 4])
+    def test_shifts_continue_across_rounds(self, n, q_round):
+        shifts, waves = [], []
+        for r in range(6):
+            schedule = _marginal_schedule(n, q_round, r)
+            for t in range(q_round - 1):
+                wave = [schedule[i][t] for i in range(n)]
+                (shift,) = {(removed - i) % n for i, removed in enumerate(wave)}
+                shifts.append(shift)
+                waves.append(wave)
+        assert shifts == [k % (n - 1) + 1 for k in range(6 * (q_round - 1))]
+        for wave in waves:
+            assert sorted(wave) == list(range(n))
 
 
 class TestNextQuery:
@@ -228,4 +241,14 @@ class TestRunMlca:
     ])
     def test_config_json_rejects_unknown_keys(self, obj, unknown):
         with pytest.raises(ia.InvalidInputError, match=unknown):
+            MechanismConfig.from_json_obj(obj)
+
+    @pytest.mark.parametrize("obj, key", [
+        ({"train_hyper": 5}, "train_hyper"),
+        ({"budget": [0.0]}, "budget"),
+        ({"hidden_dims": 10}, "hidden_dims"),
+        ({"hidden_dims": (0,)}, "hidden_dims"),
+    ])
+    def test_config_json_rejects_malformed_values(self, obj, key):
+        with pytest.raises(ia.InvalidInputError, match=key):
             MechanismConfig.from_json_obj(obj)

@@ -342,6 +342,16 @@ class TestLpRoundTrip:
         with pytest.raises(InvalidInputError):
             parse_lp_file(text.replace("Subject To\n", "Subject To\n fix: + 1.0 a_0_0 = 1.0\n"))
 
+    @pytest.mark.parametrize("text", [
+        "Minimize\n obj: + 1.0 x\nBounds\n 0.0 <= x <= 1.0\nEnd\n",
+        "Maximize\n obj: + 1.0 x\nSubject To\n c: + 1.0 <= 2.0\nEnd\n",
+        "Maximize\n obj: + 1.0 x\nBounds\n x <= 1.0\nEnd\n",
+        "Maximize\n + 1.0 x\nEnd\n",
+    ], ids=["minimize", "row-without-variable", "one-sided-bound", "objective-without-colon"])
+    def test_parse_rejects_what_emit_never_writes(self, text):
+        with pytest.raises(InvalidInputError, match="LP line"):
+            parse_lp_file(text)
+
 
 class TestReportedWdp:
     def test_picks_best_disjoint_combination(self):
