@@ -54,8 +54,8 @@ text = ia.emit_lp_file(model)
 reparsed = ia.parse_lp_file(text)
 print(f"LP file: {len(text.splitlines())} lines, "
       f"{len(model.var_names)} vars, {len(model.constraints)} constraints")
-_, obj_direct = ia.solve_model(model)
-_, obj_parsed = ia.solve_model(reparsed)
+_, obj_direct, _ = ia.solve_model(model)
+_, obj_parsed, _ = ia.solve_model(reparsed)
 print(f"reparsed model reaches the same optimum: "
       f"|diff| = {abs(obj_direct - obj_parsed):.2e}")
 print(f"emission is deterministic: {ia.emit_lp_file(encode_milp(nets)) == text}")

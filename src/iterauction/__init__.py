@@ -40,7 +40,6 @@ from .mechanism import (
 from .mvnn import (
     InitHyper,
     MvnnParams,
-    brelu,
     init_params,
     init_params_generic,
     mixture_params,
@@ -48,7 +47,6 @@ from .mvnn import (
 from .training import TrainHyper, smooth_l1, train_mean
 from .uub import (
     NomuHyper,
-    UubTriple,
     build_exact_uub,
     max_monotone_extension,
     nomu_loss,
@@ -87,12 +85,10 @@ __all__ = [
     "SolveBudget",
     "TrainHyper",
     "UnsupportedSizeError",
-    "UubTriple",
     "ValueModel",
     "WdpSolution",
     "as_allocation",
     "as_bundle",
-    "brelu",
     "brute_force_wdp",
     "build_exact_uub",
     "efficiency_loss",

@@ -23,10 +23,10 @@ from .harness import (
 from .mechanism import MechanismConfig, run_mlca
 from .mvnn import InitHyper, MvnnParams
 from .training import TrainHyper, train_mean
-from .uub import NomuHyper, UubTriple, build_exact_uub, train_uub
+from .uub import NomuHyper, build_exact_uub, train_uub
 from .values import GeneratorConfig, generate_instance
 from .wdp import SolveBudget, emit_lp_file, encode_milp, solve_wdp
-from .domain import AuctionInstance
+from .domain import AuctionInstance, dataclass_from_json
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
@@ -58,8 +58,9 @@ def _cmd_train(args) -> int:
     mean = train_mean(reports, dims, InitHyper(), TrainHyper(epochs=args.epochs), seed=args.seed)
     uub = train_uub(reports, mean, exact, NomuHyper(), TrainHyper(epochs=args.epochs),
                     InitHyper(), dims, seed=args.seed)
-    triple = UubTriple(mean_net=mean, uub_net=uub, exact_uub_net=exact)
-    _write_or_print(json.dumps(triple.to_json_obj(), indent=2, sort_keys=True), args.out)
+    obj = {"mean_net": mean.to_json_obj(), "uub_net": uub.to_json_obj(),
+           "exact_uub_net": exact.to_json_obj()}
+    _write_or_print(json.dumps(obj, indent=2, sort_keys=True), args.out)
     return 0
 
 
@@ -93,10 +94,8 @@ def _cmd_export_milp(args) -> int:
 
 def _cmd_run_mlca(args) -> int:
     instance = _load_instance(args.instance)
-    if args.config:
-        config = MechanismConfig.from_json_obj(json.loads(Path(args.config).read_text()))
-    else:
-        config = MechanismConfig()
+    obj = json.loads(Path(args.config).read_text()) if args.config else {}
+    config = MechanismConfig.from_json_obj(obj)
     outcome = run_mlca(instance, config, seed=args.seed)
     outdir = Path(args.out or "mlca-out")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -121,15 +120,9 @@ def _cmd_run_mlca(args) -> int:
 
 def _cmd_experiment(args) -> int:
     obj = json.loads(Path(args.config).read_text())
-    gen = GeneratorConfig.from_json_obj(obj["generator"])
-    mcfg = MechanismConfig.from_json_obj(obj.get("mechanism_config", {}))
-    config = ExperimentConfig(
-        generator=gen,
-        seeds=obj["seeds"],
-        mechanisms=obj["mechanisms"],
-        mechanism_config=mcfg,
-        out_dir=args.out or obj.get("out_dir", "experiment-out"),
-    )
+    config = dataclass_from_json(ExperimentConfig, obj, "experiment config")
+    if args.out:
+        config.out_dir = args.out
     run_experiment(config)
     return 0
 

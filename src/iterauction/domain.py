@@ -9,7 +9,8 @@ bundles a bidder has actually reported.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -18,14 +19,32 @@ from .errors import DegenerateInstanceError, InvalidInputError
 WELFARE_TOL = 1e-9
 
 
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str, list: list}
+
+
 def dataclass_from_json(cls, obj: dict, what: str):
-    """``cls(**obj)``, rejecting a non-dict and the keys that are not fields
-    of the dataclass."""
+    """``cls(**obj)`` for a JSON object: dataclass-typed fields are read
+    recursively, and bool, int, float, str and list fields type-checked (a
+    bool is not an int; an int passes as a float).  A non-dict, a missing,
+    unknown or mistyped key raises ``InvalidInputError`` naming the key."""
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{what} must be a JSON object, got {obj!r}")
+    missing = [f.name for f in fields(cls) if f.name not in obj
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise InvalidInputError(f"{what} is missing required keys {missing}")
     unknown = set(obj) - {f.name for f in fields(cls)}
     if unknown:
         raise InvalidInputError(f"unknown {what} keys {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    obj = dict(obj)
+    for key, value in obj.items():
+        hint = hints[key]
+        if is_dataclass(hint):
+            obj[key] = dataclass_from_json(hint, value, key)
+        elif hint in _JSON_TYPES and (not isinstance(value, _JSON_TYPES[hint])
+                                      or isinstance(value, bool) != (hint is bool)):
+            raise InvalidInputError(f"{what} key {key!r} must be {hint.__name__}, got {value!r}")
     return cls(**obj)
 
 

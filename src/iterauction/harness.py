@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError
-from .mechanism import MechanismConfig, run_mlca
+from .mechanism import ACQUISITIONS, MechanismConfig, run_mlca
 from .values import GeneratorConfig, generate_instance
 
 log = logging.getLogger("iterauction.harness")
@@ -99,6 +99,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds or not self.mechanisms:
             raise InvalidInputError("need at least one seed and one mechanism")
+        if any(type(s) is not int for s in self.seeds):
+            raise InvalidInputError(f"seeds must be ints, got {self.seeds!r}")
+        if any(m not in ACQUISITIONS for m in self.mechanisms):
+            raise InvalidInputError(f"mechanisms must be in {ACQUISITIONS}, got {self.mechanisms!r}")
         if len(set(self.mechanisms)) != len(self.mechanisms):
             raise InvalidInputError("duplicate mechanism names")
 

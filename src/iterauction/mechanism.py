@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,23 +60,10 @@ class MechanismConfig:
         return (self.q_max - self.q_init) // self.q_round
 
     def to_json_obj(self) -> dict:
-        from dataclasses import asdict
-
-        obj = asdict(self)
-        obj["hidden_dims"] = list(self.hidden_dims)
-        return obj
+        return {**asdict(self), "hidden_dims": list(self.hidden_dims)}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MechanismConfig":
-        obj = dict(obj)
-        for key, typ in (
-            ("init_hyper", InitHyper),
-            ("train_hyper", TrainHyper),
-            ("nomu_hyper", NomuHyper),
-            ("budget", SolveBudget),
-        ):
-            if key in obj:
-                obj[key] = dataclass_from_json(typ, obj[key], key)
         return dataclass_from_json(cls, obj, "mechanism config")
 
 

@@ -18,14 +18,6 @@ import numpy as np
 from .errors import InvalidInputError
 
 
-def brelu(x, t):
-    """Bounded ReLU min(t, max(0, x)); `t` must be positive."""
-    t_arr = np.asarray(t, dtype=np.float64)
-    if (t_arr <= 0).any():
-        raise InvalidInputError("bounded-ReLU cutoff must be positive")
-    return np.clip(x, 0.0, t_arr)
-
-
 @dataclass
 class MvnnParams:
     """Parameters of one monotone network.
@@ -106,16 +98,11 @@ class MvnnParams:
         z = arr.reshape(1, -1) if single else arr
         if z.shape[1] != self.m:
             raise InvalidInputError(f"input length {z.shape[1]} != {self.m}")
-        inp = z
-        for W, b, t in zip(self.weights, self.biases, self.cutoffs):
-            # the cutoff check stays per call: nets can be edited in place
-            # after validate(); min/max is brelu without its array coercion
+        # the cutoff check stays per call: nets can be edited in place after validate()
+        for t in self.cutoffs:
             if t.min() <= 0:
                 raise InvalidInputError("bounded-ReLU cutoff must be positive")
-            z = np.minimum(np.maximum(z @ W.T + b, 0.0), t)
-        out = (z @ self.weights[-1].T).ravel()
-        if self.skip is not None:
-            out = out + inp @ self.skip
+        out = forward_cache(self, z)[0]
         return float(out[0]) if single else out
 
     def to_json_obj(self) -> dict:
@@ -142,6 +129,25 @@ class MvnnParams:
     @classmethod
     def from_json(cls, text: str) -> "MvnnParams":
         return cls.from_json_obj(json.loads(text))
+
+
+def forward_cache(params: MvnnParams, X: np.ndarray):
+    """The network's forward pass on a batch (B, m): its outputs (B,), the
+    hidden pre-activations O and the layer inputs Z (X first), as kept for
+    backprop.  Unlike ``MvnnParams.forward`` it does not check the cutoffs.
+    Working in place saves two temporaries per layer on the B&B's hot path."""
+    Z, O, z = [X], [], X
+    for W, b, t in zip(params.weights, params.biases, params.cutoffs):  # the hidden layers
+        o = z @ W.T
+        o += b
+        z = np.maximum(o, 0.0)
+        np.minimum(z, t, out=z)
+        O.append(o)
+        Z.append(z)
+    out = (z @ params.weights[-1].T).ravel()
+    if params.skip is not None:
+        out = out + X @ params.skip
+    return out, O, Z
 
 
 # ---------------------------------------------------------------------------

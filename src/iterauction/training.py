@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .mvnn import MvnnParams, init_params
+from .mvnn import MvnnParams, forward_cache, init_params
 
 CUTOFF_FLOOR = 1e-3
 
@@ -57,24 +57,8 @@ def smooth_l1_grad(x, y, beta: float):
 
 
 # ---------------------------------------------------------------------------
-# Forward / backward machinery
+# Backward machinery
 # ---------------------------------------------------------------------------
-
-
-def forward_cache(params: MvnnParams, X: np.ndarray):
-    """Forward pass keeping pre- and post-activations for backprop."""
-    Z = [X]
-    O = []
-    z = X
-    for k in range(params.num_hidden):
-        o = z @ params.weights[k].T + params.biases[k]
-        z = np.minimum(np.maximum(o, 0.0), params.cutoffs[k])
-        O.append(o)
-        Z.append(z)
-    out = (z @ params.weights[-1].T).ravel()
-    if params.skip is not None:
-        out = out + X @ params.skip
-    return out, O, Z
 
 
 def _optional(skip) -> list:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .mvnn import MvnnParams, init_params
+from .mvnn import MvnnParams, forward_cache, init_params
 from .training import (
     Grads,
     TrainHyper,
@@ -25,7 +25,6 @@ from .training import (
     _backward,
     _regularised,
     _train_loop,
-    forward_cache,
     smooth_l1,
     smooth_l1_grad,
 )
@@ -147,35 +146,6 @@ class NomuHyper:
             raise InvalidInputError("need at least one artificial point per batch")
         if self.loss_variant not in LOSS_VARIANTS:
             raise InvalidInputError(f"unknown loss variant {self.loss_variant!r}")
-
-
-@dataclass
-class UubTriple:
-    """Mean network, learned upper bound, and exact upper bound for one
-    bidder over the same item count."""
-
-    mean_net: MvnnParams
-    uub_net: MvnnParams
-    exact_uub_net: MvnnParams
-
-    def __post_init__(self):
-        if not (self.mean_net.m == self.uub_net.m == self.exact_uub_net.m):
-            raise InvalidInputError("the three networks must share the item count")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "mean_net": self.mean_net.to_json_obj(),
-            "uub_net": self.uub_net.to_json_obj(),
-            "exact_uub_net": self.exact_uub_net.to_json_obj(),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "UubTriple":
-        return cls(
-            mean_net=MvnnParams.from_json_obj(obj["mean_net"]),
-            uub_net=MvnnParams.from_json_obj(obj["uub_net"]),
-            exact_uub_net=MvnnParams.from_json_obj(obj["exact_uub_net"]),
-        )
 
 
 def _loss_terms(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta: float,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedSizeError
-from .mvnn import MvnnParams
+from .mvnn import MvnnParams, forward_cache
 
 INTEGRALITY_TOL = 1e-6
 FEASIBILITY_TOL = 1e-9
@@ -480,14 +480,12 @@ def check_encoding_at(net: MvnnParams, bundle: np.ndarray) -> bool:
     and every variable bound of ``encode_milp([net], prune=False)`` holds
     within FEASIBILITY_TOL."""
     model = encode_milp([net], prune=False)
-    z = np.asarray(bundle, dtype=np.float64)
-    values = list(z)
-    for k in range(net.num_hidden):
-        o = net.weights[k] @ z + net.biases[k]
-        z = np.clip(o, 0.0, net.cutoffs[k])
-        for j in range(len(o)):
+    _, O, Z = forward_cache(net, np.asarray(bundle, dtype=np.float64).reshape(1, -1))
+    values = list(Z[0][0])
+    for k, (o, z) in enumerate(zip(O, Z[1:])):
+        for j in range(o.shape[1]):
             # unpruned, each neuron adds its columns z, alpha, beta in order
-            values += [z[j], *lemma_assignment(float(o[j]), float(net.cutoffs[k][j]))]
+            values += [z[0, j], *lemma_assignment(float(o[0, j]), float(net.cutoffs[k][j]))]
     x = np.array(values)
     _, A, row_lb, row_ub = _matrix(model)
     vals = np.concatenate([A @ x, x])
@@ -496,9 +494,10 @@ def check_encoding_at(net: MvnnParams, bundle: np.ndarray) -> bool:
     return bool(((vals >= lo) & (vals <= hi)).all())
 
 
-def solve_model(model: WdpModel) -> tuple[np.ndarray, float]:
+def solve_model(model: WdpModel) -> tuple[np.ndarray, float, float]:
     """Solve a WdpModel with scipy's HiGHS mixed-integer backend; returns
-    the column values and the objective."""
+    the column values, the objective and the relative gap HiGHS proved
+    (0.0 for a proven optimum; HiGHS stops at its default gap of 1e-4)."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     c, A, row_lb, row_ub = _matrix(model)
@@ -510,13 +509,15 @@ def solve_model(model: WdpModel) -> tuple[np.ndarray, float]:
     )
     if res.status != 0:
         raise InvalidInputError(f"MILP solve failed: {res.message}")
-    return res.x, model.objective_const + sum(w * float(res.x[v]) for v, w in model.objective.items())
+    objective = model.objective_const + sum(w * float(res.x[v]) for v, w in model.objective.items())
+    return res.x, objective, float(res.mip_gap or 0.0)
 
 
 def milp_wdp(nets: list[MvnnParams], exclusions=None, prune: bool = True) -> WdpSolution:
-    """Winner determination over monotone networks via the MILP encoding."""
+    """Winner determination over monotone networks via the MILP encoding;
+    status ``gap_limit`` with HiGHS's gap unless it proved the optimum."""
     model = encode_milp(nets, exclusions=exclusions, prune=prune)
-    x, _ = solve_model(model)
+    x, _, gap = solve_model(model)
     n, m = len(nets), nets[0].m
     a = x[: n * m].reshape(n, m)
     off = np.minimum(np.abs(a), np.abs(a - 1)) > INTEGRALITY_TOL
@@ -527,7 +528,7 @@ def milp_wdp(nets: list[MvnnParams], exclusions=None, prune: bool = True) -> Wdp
     if (alloc.sum(axis=0) > 1).any():
         raise InvalidInputError("MILP solution assigns an item twice")
     true_obj = float(sum(net.forward(alloc[i].astype(np.float64)) for i, net in enumerate(nets)))
-    return WdpSolution(allocation=alloc, objective=true_obj)
+    return WdpSolution(alloc, true_obj, "optimal" if gap == 0 else "gap_limit", proven_gap=gap)
 
 
 # ---------------------------------------------------------------------------

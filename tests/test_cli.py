@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import iterauction as ia
 from iterauction.cli import main
@@ -34,8 +35,10 @@ class TestCli:
         out = tmp_path / "triple.json"
         assert main(["train", "--reports", str(rp), "--epochs", "10",
                      "--hidden-dims", "4", "--out", str(out)]) == 0
-        triple = ia.UubTriple.from_json_obj(json.loads(out.read_text()))
-        assert triple.exact_uub_net.forward(np.ones(3)) == 1.0
+        triple = json.loads(out.read_text())
+        assert set(triple) == {"mean_net", "uub_net", "exact_uub_net"}
+        nets = {key: ia.MvnnParams.from_json_obj(doc) for key, doc in triple.items()}
+        assert nets["exact_uub_net"].forward(np.ones(3)) == 1.0
 
     def test_export_milp_lp_text(self, tmp_path):
         nets = [init_params([3, 3, 1], InitHyper(), seed=k) for k in range(2)]
@@ -44,7 +47,7 @@ class TestCli:
         out = tmp_path / "model.lp"
         assert main(["export-milp", "--networks", str(np_path), "--out", str(out)]) == 0
         model = ia.parse_lp_file(out.read_text())
-        _, obj = ia.solve_model(model)
+        _, obj, _ = ia.solve_model(model)
         ref = ia.milp_wdp(nets)
         assert abs(obj - ref.objective) <= 1e-6
 
@@ -82,3 +85,25 @@ class TestCli:
         outdir = tmp_path / "expout"
         assert main(["experiment", "--config", str(cfg_path), "--out", str(outdir)]) == 0
         assert (outdir / "summary.csv").exists()
+
+    @pytest.mark.parametrize("edit, key", [
+        ({"seeds": None, "seed": [0]}, "seeds"),
+        ({"mechanisms": ["random", "ubb"]}, "ubb"),
+        ({"seeds": [0, "1"]}, "seeds"),
+        ({"generator": {"m": 4}}, "'n'"),
+        ({"mechanism_config": {"q_init": "3"}}, "q_init"),
+    ])
+    def test_experiment_rejects_malformed_config_before_running(self, tmp_path, edit, key):
+        base = {
+            "generator": ia.GeneratorConfig(n=2, m=4).to_json_obj(),
+            "seeds": [0, 1],
+            "mechanisms": ["random"],
+            "mechanism_config": {"q_init": 3, "q_round": 2, "q_max": 7},
+        }
+        cfg = {k: v for k, v in {**base, **edit}.items() if v is not None}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        outdir = tmp_path / "expout"
+        with pytest.raises(ia.InvalidInputError, match=key):
+            main(["experiment", "--config", str(cfg_path), "--out", str(outdir)])
+        assert not outdir.exists()

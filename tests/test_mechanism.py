@@ -248,6 +248,12 @@ class TestRunMlca:
         ({"budget": [0.0]}, "budget"),
         ({"hidden_dims": 10}, "hidden_dims"),
         ({"hidden_dims": (0,)}, "hidden_dims"),
+        ({"q_init": 4, "q_max": 7.5}, "q_max"),
+        ({"q_init": "4"}, "q_init"),
+        ({"q_round": True}, "q_round"),
+        ({"train_hyper": {"epochs": "60"}}, "epochs"),
+        ({"early_stop": "no"}, "early_stop"),
+        ({"skip": 1}, "skip"),
     ])
     def test_config_json_rejects_malformed_values(self, obj, key):
         with pytest.raises(ia.InvalidInputError, match=key):

@@ -8,24 +8,12 @@ from iterauction.errors import InvalidInputError
 from iterauction.mvnn import (
     InitHyper,
     MvnnParams,
-    brelu,
     init_params,
     init_params_generic,
     mixture_params,
     random_containment_pair,
     sample_mixture,
 )
-
-
-class TestBrelu:
-    def test_clipping(self):
-        assert brelu(-1.0, 0.5) == 0.0
-        assert brelu(0.3, 0.5) == 0.3
-        assert brelu(2.0, 0.5) == 0.5
-
-    def test_rejects_nonpositive_cutoff(self):
-        with pytest.raises(InvalidInputError):
-            brelu(0.3, 0.0)
 
 
 class TestParams:
@@ -46,6 +34,14 @@ class TestParams:
         assert p.forward(np.zeros(4)) >= 0.0
         X = np.random.default_rng(0).random((50, 4))
         assert (p.forward(X) >= 0).all()
+
+    def test_forward_clips_at_zero_and_cutoff(self):
+        # one hidden neuron o = x with cutoff 0.5 and output weight 1
+        net = MvnnParams(weights=[np.ones((1, 1)), np.ones((1, 1))],
+                         biases=[np.zeros(1)], cutoffs=[np.array([0.5])])
+        assert net.forward(np.array([-1.0])) == 0.0
+        assert net.forward(np.array([0.3])) == 0.3
+        assert net.forward(np.array([2.0])) == 0.5
 
     def test_forward_rechecks_cutoffs_edited_in_place(self):
         p = init_params([3, 2, 1], InitHyper(), seed=1)

@@ -12,7 +12,6 @@ from iterauction.training import TrainHyper
 from iterauction.uub import (
     LOSS_VARIANTS,
     NomuHyper,
-    UubTriple,
     _frozen_terms,
     build_exact_uub,
     elu,
@@ -217,17 +216,6 @@ class TestTrainUub:
             # the gradient path evaluates the frozen networks afresh
             fresh, _ = nomu_loss_and_grads(net, mean, exact, X, y, X_eval, nh, no_l2)
             assert score == pytest.approx(fresh, rel=1e-12)
-
-    def test_triple_serialization(self):
-        rng = np.random.default_rng(2)
-        reports = random_reports(3, rng, extra=3)
-        exact = build_exact_uub(reports)
-        mean = init_params([3, 2, 1], InitHyper(), seed=0)
-        uub = init_params([3, 2, 1], InitHyper(), seed=1)
-        triple = UubTriple(mean_net=mean, uub_net=uub, exact_uub_net=exact)
-        back = UubTriple.from_json_obj(triple.to_json_obj())
-        x = np.array([1.0, 0.0, 1.0])
-        assert back.uub_net.forward(x) == uub.forward(x)
 
 
 class TestPrimitives:

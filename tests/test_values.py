@@ -104,3 +104,17 @@ class TestGeneratorConfigJson:
     def test_unknown_key_is_rejected(self):
         with pytest.raises(InvalidInputError):
             ia.GeneratorConfig.from_json_obj({"n": 2, "m": 4, "synergy_densty": 0.5})
+
+    @pytest.mark.parametrize("obj, key", [
+        ({"m": 4}, "'n'"),
+        ({"n": True, "m": 4}, "'n'"),
+        ({"n": 2, "m": 4.0}, "'m'"),
+        ({"n": 2, "m": 4, "synergy_scale": "2"}, "'synergy_scale'"),
+    ])
+    def test_missing_or_mistyped_key_is_rejected(self, obj, key):
+        with pytest.raises(InvalidInputError, match=key):
+            ia.GeneratorConfig.from_json_obj(obj)
+
+    def test_int_passes_as_float(self):
+        cfg = ia.GeneratorConfig.from_json_obj({"n": 2, "m": 4, "synergy_scale": 2})
+        assert cfg == ia.GeneratorConfig(n=2, m=4, synergy_scale=2)

@@ -310,6 +310,24 @@ class TestMilpEncoding:
         assert tuple(banned.allocation[0]) != tuple(free.allocation[0])
         assert banned.objective <= free.objective + 1e-9
 
+    def test_status_reports_the_gap_highs_proved(self, monkeypatch):
+        import scipy.optimize
+
+        nets = random_nets(2, 4, np.random.default_rng(12))
+        exact = milp_wdp(nets)
+        assert (exact.status, exact.proven_gap) == ("optimal", 0.0)
+        real_milp = scipy.optimize.milp
+
+        def stopped_at_gap(*args, **kwargs):
+            res = real_milp(*args, **kwargs)
+            res.mip_gap = 9.5e-5
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "milp", stopped_at_gap)
+        sol = milp_wdp(nets)
+        assert (sol.status, sol.proven_gap) == ("gap_limit", 9.5e-5)
+        assert (sol.allocation == exact.allocation).all() and sol.objective == exact.objective
+
 
 class TestLpRoundTrip:
     def test_emit_parse_solve_agrees(self):
@@ -319,8 +337,8 @@ class TestLpRoundTrip:
             model = encode_milp(nets)
             text= emit_lp_file(model)
             back = parse_lp_file(text)
-            _, obj_a = solve_model(model)
-            _, obj_b = solve_model(back)
+            _, obj_a, _ = solve_model(model)
+            _, obj_b, _ = solve_model(back)
             assert obj_b == pytest.approx(obj_a, abs=1e-9)
 
     def test_emission_is_deterministic(self):
