@@ -22,11 +22,28 @@ WELFARE_TOL = 1e-9
 _JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str, list: list}
 
 
+def _json_type_ok(value, hint) -> bool:
+    """Whether a JSON value fits a field type: a bool is not an int, an int
+    passes as a float, ``tuple[T, T]`` takes a list of exactly that length
+    and ``tuple[T, ...]`` a list of any length, item by item.  Other types
+    (such as a bare ``tuple``) are left to the dataclass's own checks."""
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_json_type_ok, value, args))
+    if hint not in _JSON_TYPES:
+        return True
+    return isinstance(value, _JSON_TYPES[hint]) and isinstance(value, bool) == (hint is bool)
+
+
 def dataclass_from_json(cls, obj: dict, what: str):
     """``cls(**obj)`` for a JSON object: dataclass-typed fields are read
-    recursively, and bool, int, float, str and list fields type-checked (a
-    bool is not an int; an int passes as a float).  A non-dict, a missing,
-    unknown or mistyped key raises ``InvalidInputError`` naming the key."""
+    recursively, and bool, int, float, str, list and typed tuple fields
+    type-checked (see ``_json_type_ok``).  A non-dict, a missing, unknown
+    or mistyped key raises ``InvalidInputError`` naming the key."""
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{what} must be a JSON object, got {obj!r}")
     missing = [f.name for f in fields(cls) if f.name not in obj
@@ -42,9 +59,9 @@ def dataclass_from_json(cls, obj: dict, what: str):
         hint = hints[key]
         if is_dataclass(hint):
             obj[key] = dataclass_from_json(hint, value, key)
-        elif hint in _JSON_TYPES and (not isinstance(value, _JSON_TYPES[hint])
-                                      or isinstance(value, bool) != (hint is bool)):
-            raise InvalidInputError(f"{what} key {key!r} must be {hint.__name__}, got {value!r}")
+        elif not _json_type_ok(value, hint):
+            name = hint if typing.get_origin(hint) else hint.__name__
+            raise InvalidInputError(f"{what} key {key!r} must be {name}, got {value!r}")
     return cls(**obj)
 
 

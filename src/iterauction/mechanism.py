@@ -151,7 +151,10 @@ def next_query(
         raise InvalidInputError("queried bidder must belong to the economy")
     if len(excluded_bundles) >= 2**m:
         raise ExhaustedBidderError("every bundle of this bidder is excluded")
-    evaluators = [nets[i].forward for i in economy]
+    try:
+        evaluators = MvnnParams.stack([nets[i] for i in economy])
+    except InvalidInputError:  # exact bounds differ in width where reported values tie
+        evaluators = [nets[i].forward for i in economy]
     exclusions = [excluded_bundles if i == bidder else None for i in economy]
     sol = solve_wdp(evaluators, m, budget=budget, exclusions=exclusions)
     if sol.status != "optimal":

@@ -20,11 +20,14 @@ from .errors import InvalidInputError
 
 @dataclass
 class MvnnParams:
-    """Parameters of one monotone network.
+    """Parameters of one monotone network, or of a stack of n networks of
+    one architecture (see :meth:`stack`).
 
     ``weights`` holds W^1..W^K (K = len(weights)); ``biases`` and ``cutoffs``
     cover the K-1 hidden layers only (per-neuron cutoffs).  ``skip`` is an
-    optional non-negative (m,) vector added linearly to the output.
+    optional non-negative (m,) vector added linearly to the output.  A stack
+    puts a leading bidder axis on every array: weights (n, d_out, d_in),
+    biases and cutoffs (n, d), skip (n, m).
     """
 
     weights: list[np.ndarray]
@@ -37,7 +40,7 @@ class MvnnParams:
         self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
         self.cutoffs = [np.asarray(t, dtype=np.float64) for t in self.cutoffs]
         if self.skip is not None:
-            self.skip = np.asarray(self.skip, dtype=np.float64).ravel()
+            self.skip = np.asarray(self.skip, dtype=np.float64)
         self.validate()
 
     def validate(self) -> None:
@@ -46,34 +49,50 @@ class MvnnParams:
             raise InvalidInputError("need at least an output layer")
         if len(self.biases) != K - 1 or len(self.cutoffs) != K - 1:
             raise InvalidInputError("biases/cutoffs must cover exactly the hidden layers")
+        lead = self.weights[0].shape[:-2]  # () for one net, (n,) for a stack
         for k, W in enumerate(self.weights):
-            if W.ndim != 2:
-                raise InvalidInputError("weights must be matrices")
+            if W.ndim < 2 or W.shape[:-2] != lead:
+                raise InvalidInputError("weights must be matrices with one shared leading shape")
             if (W < 0).any():
                 raise InvalidInputError(f"negative weight in layer {k + 1}")
-            if k > 0 and W.shape[1] != self.weights[k - 1].shape[0]:
+            if k > 0 and W.shape[-1] != self.weights[k - 1].shape[-2]:
                 raise InvalidInputError("inconsistent layer dimensions")
-        if self.weights[-1].shape[0] != 1:
+        if self.weights[-1].shape[-2] != 1:
             raise InvalidInputError("output layer must have a single neuron")
         for k, b in enumerate(self.biases):
-            if b.shape != (self.weights[k].shape[0],):
+            if b.shape != self.weights[k].shape[:-1]:
                 raise InvalidInputError("bias shape mismatch")
             if (b > 0).any():
                 raise InvalidInputError(f"positive bias in layer {k + 1}")
         for k, t in enumerate(self.cutoffs):
-            if t.shape != (self.weights[k].shape[0],):
+            if t.shape != self.weights[k].shape[:-1]:
                 raise InvalidInputError("cutoff shape mismatch")
             if (t <= 0).any():
                 raise InvalidInputError(f"non-positive cutoff in layer {k + 1}")
         if self.skip is not None:
-            if self.skip.shape != (self.m,):
+            if self.skip.shape != (*lead, self.m):
                 raise InvalidInputError("skip weights must have shape (m,)")
             if (self.skip < 0).any():
                 raise InvalidInputError("negative skip weight")
 
+    @classmethod
+    def stack(cls, nets: list["MvnnParams"]) -> "MvnnParams":
+        """The networks along a leading bidder axis; ``forward`` then maps
+        (n, k, m) to (n, k), row block i through network i."""
+        if not nets:
+            raise InvalidInputError("cannot stack zero networks")
+        if len({(tuple(W.shape for W in net.weights), net.skip is None) for net in nets}) > 1:
+            raise InvalidInputError("stacked networks must share one architecture")
+        return cls(
+            weights=[np.stack(Ws) for Ws in zip(*(net.weights for net in nets))],
+            biases=[np.stack(bs) for bs in zip(*(net.biases for net in nets))],
+            cutoffs=[np.stack(ts) for ts in zip(*(net.cutoffs for net in nets))],
+            skip=None if nets[0].skip is None else np.stack([net.skip for net in nets]),
+        )
+
     @property
     def m(self) -> int:
-        return self.weights[0].shape[1]
+        return self.weights[0].shape[-1]
 
     @property
     def num_hidden(self) -> int:
@@ -81,7 +100,7 @@ class MvnnParams:
 
     @property
     def layer_dims(self) -> list[int]:
-        return [self.m] + [W.shape[0] for W in self.weights]
+        return [self.m] + [W.shape[-2] for W in self.weights]
 
     def copy(self) -> "MvnnParams":
         return MvnnParams(
@@ -92,12 +111,15 @@ class MvnnParams:
         )
 
     def forward(self, x) -> float | np.ndarray:
-        """Evaluate the network on a single input (m,) or a batch (B, m)."""
+        """Evaluate the network on a single input (m,) or a batch (B, m); a
+        stack of n networks on a batch (n, B, m), giving (n, B)."""
         arr = np.asarray(x, dtype=np.float64)
         single = arr.ndim == 1
         z = arr.reshape(1, -1) if single else arr
-        if z.shape[1] != self.m:
-            raise InvalidInputError(f"input length {z.shape[1]} != {self.m}")
+        if z.ndim != self.weights[0].ndim:
+            raise InvalidInputError(f"input of shape {arr.shape} for weights {self.weights[0].shape}")
+        if z.shape[-1] != self.m:
+            raise InvalidInputError(f"input length {z.shape[-1]} != {self.m}")
         # the cutoff check stays per call: nets can be edited in place after validate()
         for t in self.cutoffs:
             if t.min() <= 0:
@@ -132,21 +154,22 @@ class MvnnParams:
 
 
 def forward_cache(params: MvnnParams, X: np.ndarray):
-    """The network's forward pass on a batch (B, m): its outputs (B,), the
-    hidden pre-activations O and the layer inputs Z (X first), as kept for
-    backprop.  Unlike ``MvnnParams.forward`` it does not check the cutoffs.
-    Working in place saves two temporaries per layer on the B&B's hot path."""
+    """The network's forward pass on a batch (B, m), or a stack's on
+    (n, B, m): its outputs (B,) or (n, B), the hidden pre-activations O and
+    the layer inputs Z (X first), as kept for backprop.  Unlike
+    ``MvnnParams.forward`` it does not check the cutoffs.  Working in place
+    saves two temporaries per layer on the B&B's hot path."""
     Z, O, z = [X], [], X
     for W, b, t in zip(params.weights, params.biases, params.cutoffs):  # the hidden layers
-        o = z @ W.T
-        o += b
+        o = z @ W.swapaxes(-1, -2)
+        o += b[..., None, :]  # broadcast over the rows
         z = np.maximum(o, 0.0)
-        np.minimum(z, t, out=z)
+        np.minimum(z, t[..., None, :], out=z)
         O.append(o)
         Z.append(z)
-    out = (z @ params.weights[-1].T).ravel()
+    out = (z @ params.weights[-1].swapaxes(-1, -2))[..., 0]
     if params.skip is not None:
-        out = out + X @ params.skip
+        out = out + (X @ params.skip[..., None])[..., 0]
     return out, O, Z
 
 

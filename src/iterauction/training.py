@@ -152,10 +152,10 @@ class Adam:
     """Adam with the L2 penalty ``hyper.l2_lambda`` on weights, biases and
     skip, and projection back onto the sign-constrained set after each step.
 
-    The network's arrays are moved into one flat vector in ``_Layout``
-    order and rebound as views of it, so each update is one operation on
-    that vector.  ``step`` takes the gradients of the data loss alone and
-    adds the L2 gradient itself, before clipping.
+    The network's arrays are moved into one flat vector, ``theta``, in
+    ``layout`` order and rebound as views of it, so each update is one
+    operation on that vector.  ``step`` takes the gradients of the data
+    loss alone and adds the L2 gradient itself, before clipping.
     """
 
     def __init__(self, params: MvnnParams, hyper: TrainHyper):
@@ -163,17 +163,17 @@ class Adam:
         self.hyper = hyper
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
-        self._layout = _layout_of(params)
-        self._theta = np.concatenate([_regularised(params), *params.cutoffs])
-        params.weights, params.skip, params.biases, params.cutoffs = self._layout.views(self._theta)
+        self.layout = _layout_of(params)
+        self.theta = np.concatenate([_regularised(params), *params.cutoffs])
+        params.weights, params.skip, params.biases, params.cutoffs = self.layout.views(self.theta)
         # frozen cutoffs are the vector's tail: only the prefix is stepped
-        self._n_step = self._layout.size if hyper.trainable_cutoffs else self._layout.n_reg
+        self._n_step = self.layout.size if hyper.trainable_cutoffs else self.layout.n_reg
         self._m = np.zeros(self._n_step)
         self._v = np.zeros(self._n_step)
 
     def step(self, grads: Grads) -> None:
         h, n = self.hyper, self._n_step
-        _add_l2(grads, self._theta[: self._layout.n_reg], h.l2_lambda)
+        _add_l2(grads, self.theta[: self.layout.n_reg], h.l2_lambda)
         norm = grads.global_norm()
         if h.clip_grad_norm and norm > h.clip_grad_norm:
             grads.flat *= h.clip_grad_norm / (norm + 1e-12)
@@ -185,11 +185,11 @@ class Adam:
         m += (1 - self.beta1) * g
         v *= self.beta2
         v += (1 - self.beta2) * g * g
-        self._theta[:n] -= h.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        self.theta[:n] -= h.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
         self.project()
 
     def project(self) -> None:
-        theta, n_pos, n_reg = self._theta, self._layout.n_pos, self._layout.n_reg
+        theta, n_pos, n_reg = self.theta, self.layout.n_pos, self.layout.n_reg
         np.maximum(theta[:n_pos], 0.0, out=theta[:n_pos])
         np.minimum(theta[n_pos:n_reg], 0.0, out=theta[n_pos:n_reg])
         np.maximum(theta[n_reg:], CUTOFF_FLOOR, out=theta[n_reg:])
@@ -233,7 +233,7 @@ def _train_loop(params: MvnnParams, X, y, hyper: TrainHyper, rng, batch_grads, s
     n = X.shape[0]
     opt = Adam(params, hyper)
     g = Grads.zeros_like(params)
-    best = params.copy()
+    best = opt.theta.copy()  # the best epoch's flat vector; the network is built once, at the end
     best_loss = score(params)
     for _ in range(hyper.epochs):
         # The shuffle leaves the full-batch loss unchanged, but it fixes the
@@ -244,8 +244,9 @@ def _train_loop(params: MvnnParams, X, y, hyper: TrainHyper, rng, batch_grads, s
         cur = score(params)
         if cur < best_loss:
             best_loss = cur
-            best = params.copy()
-    return best, best_loss
+            np.copyto(best, opt.theta)
+    weights, skip, biases, cutoffs = opt.layout.views(best)
+    return MvnnParams(weights=weights, biases=biases, cutoffs=cutoffs, skip=skip), best_loss
 
 
 def train_mean(

@@ -133,19 +133,31 @@ class _TimeUp(Exception):
     pass
 
 
+def _batched(evaluators):
+    """One callable over (n, k, m) from n per-bidder callables over (k, m)."""
+    def evaluate(X):
+        return np.array([np.asarray(ev(x), dtype=np.float64) for ev, x in zip(evaluators, X)])
+    return evaluate
+
+
 def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=None) -> WdpSolution:
     """Branch and bound over item-to-bidder-or-nobody decisions.
+
+    ``evaluators`` is a stack of n networks (``MvnnParams.stack``), whose
+    ``forward`` maps (n, k, m) to (n, k), or a list of n per-bidder
+    callables from (k, m) to (k,).
 
     The bound at a node is sum_i v_i(S_i | U), where S_i is bidder i's
     assigned items and U the undecided ones; it is admissible because every
     value function is monotone.  The children's bounds are computed
-    together: deciding item j, each bidder i evaluates one 2-row batch,
-    S_i | U and S_i | U - {j}.  Child c (bidder c takes j) then has bound
-    v_c(S_c | U) + sum_{i != c} v_i(S_i | U - {j}), and the "nobody" child
-    sum_i v_i(S_i | U - {j}): n evaluator calls per node instead of one per
-    bidder per child.  Each child's bound is passed down; at depth m the
-    undecided set is empty, so the bound is the leaf's exact welfare and
-    leaves evaluate nothing.
+    together: deciding item j, every bidder i evaluates S_i | U and
+    S_i | U - {j}, all in one evaluator call on an (n, 2, m) batch (a list
+    of callables makes one 2-row call per bidder instead).  Child c (bidder
+    c takes j) then has bound v_c(S_c | U) + sum_{i != c} v_i(S_i | U - {j}),
+    summed in bidder order, and the "nobody" child sum_i v_i(S_i | U - {j}).
+    Each child's bound is passed down; at depth m the undecided set is
+    empty, so the bound is the leaf's exact welfare and leaves evaluate
+    nothing.
 
     Items are branched in order of decreasing total single-item value;
     children are explored best-bound first.  With a zero relative gap, nodes
@@ -158,14 +170,16 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
     if m < 1:
         raise InvalidInputError("need at least one item")
     budget = budget or SolveBudget()
-    n = len(evaluators)
+    if isinstance(evaluators, MvnnParams):
+        n, evaluate = evaluators.weights[0].shape[0], evaluators.forward  # n stacked nets
+    else:
+        n, evaluate = len(evaluators), _batched(evaluators)
     excl = _exclusion_sets(n, exclusions)
     deadline = time.monotonic() + budget.time_limit_secs
 
-    singles = np.eye(m)
     marginal = np.zeros(m)
-    for ev in evaluators:
-        marginal += np.asarray(ev(singles), dtype=np.float64)
+    for values in evaluate(np.tile(np.eye(m), (n, 1, 1))):  # summed in bidder order
+        marginal += values
     order = sorted(range(m), key=lambda j: (-marginal[j], j))
 
     bundles = np.zeros((n, m))
@@ -188,16 +202,12 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
         pair[:, 0] = bundles + undecided
         pair[:, 1] = pair[:, 0]
         pair[:, 1, j] = 0.0
-        with_j, without_j = [], []
-        for i, ev in enumerate(evaluators):
-            hi, lo = np.asarray(ev(pair[i]), dtype=np.float64).tolist()
-            with_j.append(hi)
-            without_j.append(lo)
+        values = evaluate(pair).tolist()  # per bidder [v_i(S_i | U), v_i(S_i | U - {j})]
         children = []
         for choice in range(n + 1):  # bidders 0..n-1, then nobody
             b = 0.0
-            for i in range(n):  # summed in bidder order
-                b += with_j[i] if i == choice else without_j[i]
+            for i, (hi, lo) in enumerate(values):  # summed in bidder order
+                b += hi if i == choice else lo
             children.append((b, choice))
         return children
 
@@ -412,7 +422,8 @@ def encode_milp(nets: list[MvnnParams], exclusions=None, prune: bool = True) -> 
                     model.prune_log.append((i, k, j, "affine-identity"))
                     new_z.append(o)
                     continue
-                z = model.add_var(f"z_{tag}", max(0.0, l), min(t, u))
+                # the clipped box; unpruned, an always-off or saturated z is pinned
+                z = model.add_var(f"z_{tag}", min(t, max(0.0, l)), min(t, max(0.0, u)))
                 # indicators alpha = [o > 0], beta = [o > t]; prune fixes
                 # alpha = 1 when only the linear band and saturation are
                 # reachable, beta = 0 when only off and the linear band are

@@ -85,6 +85,20 @@ class TestNextQuery:
         assert tuple(b) not in excluded
         assert b.sum() > 0
 
+    def test_nets_of_unequal_width_are_evaluated_one_by_one(self):
+        # tied reported values drop a step from an exact bound, so the
+        # bidders' exact bounds differ in width and cannot be stacked
+        m = 4
+        full, half = np.ones(m, dtype=int), np.array([1, 1, 0, 0])
+        nets = [ia.build_exact_uub([(full, 2.0), (half, 2.0)]),
+                ia.build_exact_uub([(full, 2.0), (half, 1.0)])]
+        assert nets[0].layer_dims != nets[1].layer_dims
+        excluded = {(0,) * m, (1,) * m}
+        budget = ia.SolveBudget(relative_gap=0.0)
+        b = next_query(0, [0, 1], nets, m, excluded, budget)
+        ref = ia.solve_wdp([net.forward for net in nets], m, budget, [excluded, None])
+        assert b.tolist() == ref.allocation[0].tolist()
+
     def test_bidder_must_be_in_economy(self):
         nets = {i: init_params([3, 2, 1], InitHyper(), seed=i) for i in range(2)}
         with pytest.raises(ia.InvalidInputError):
@@ -254,6 +268,10 @@ class TestRunMlca:
         ({"train_hyper": {"epochs": "60"}}, "epochs"),
         ({"early_stop": "no"}, "early_stop"),
         ({"skip": 1}, "skip"),
+        ({"train_hyper": {"cutoff_init_range": 5}}, "cutoff_init_range"),
+        ({"train_hyper": {"cutoff_init_range": [0.1]}}, "cutoff_init_range"),
+        ({"train_hyper": {"cutoff_init_range": ["a", 1]}}, "cutoff_init_range"),
+        ({"train_hyper": {"cutoff_init_range": [0.1, 1.0, 2.0]}}, "cutoff_init_range"),
     ])
     def test_config_json_rejects_malformed_values(self, obj, key):
         with pytest.raises(ia.InvalidInputError, match=key):

@@ -67,6 +67,67 @@ class TestParams:
         assert p.forward(a.astype(float)) <= p.forward(b.astype(float)) + 1e-12
 
 
+class TestStack:
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_stacked_forward_is_bit_equal_to_each_net(self, n, skip):
+        rng = np.random.default_rng(n)
+        for hidden in ((5,), (10, 10), (3, 7, 4)):
+            m = int(rng.integers(1, 19))
+            nets = [init_params([m, *hidden, 1], InitHyper(), (0.1, 1.0),
+                                seed=int(rng.integers(10**9)), skip=skip) for _ in range(n)]
+            stack = MvnnParams.stack(nets)
+            assert stack.weights[0].shape == (n, hidden[0], m)
+            assert stack.biases[0].shape == stack.cutoffs[0].shape == (n, hidden[0])
+            if skip:
+                assert stack.skip.shape == (n, m)
+            else:
+                assert stack.skip is None
+            for rows in (1, 2, m, 33):
+                X = rng.random((n, rows, m))
+                X[:, ::2] = X[:, ::2] < 0.5  # bundles and points of the cube
+                out = stack.forward(X)
+                assert out.shape == (n, rows)
+                assert out.tobytes() == np.stack([net.forward(x) for net, x in zip(nets, X)]).tobytes()
+
+    @pytest.mark.parametrize("dims, skip", [
+        ([4, 6, 1], False),  # another width
+        ([4, 5, 5, 1], False),  # another depth
+        ([3, 5, 1], False),  # another item count
+        ([4, 5, 1], True),  # a skip where the others have none
+    ])
+    def test_stack_rejects_unequal_architectures(self, dims, skip):
+        nets = [init_params([4, 5, 1], InitHyper(), seed=s) for s in range(2)]
+        odd = init_params(dims, InitHyper(), seed=2, skip=skip)
+        with pytest.raises(InvalidInputError, match="architecture"):
+            MvnnParams.stack([*nets, odd])
+        with pytest.raises(InvalidInputError):
+            MvnnParams.stack([])
+
+    def test_stack_takes_one_batch_per_net(self):
+        stack = MvnnParams.stack([init_params([3, 2, 1], InitHyper(), seed=s) for s in range(2)])
+        assert stack.forward(np.ones((2, 4, 3))).shape == (2, 4)
+        for bad in (np.ones(3), np.ones((4, 3)), np.ones((2, 4, 2))):
+            with pytest.raises(InvalidInputError):
+                stack.forward(bad)
+        with pytest.raises(InvalidInputError):
+            init_params([3, 2, 1], InitHyper(), seed=0).forward(np.ones((2, 4, 3)))
+
+    def test_stack_forward_rechecks_cutoffs_edited_in_place(self):
+        stack = MvnnParams.stack([init_params([3, 2, 1], InitHyper(), seed=s) for s in range(3)])
+        X = np.ones((3, 2, 3))
+        assert (stack.forward(X) >= 0.0).all()
+        stack.cutoffs[0][2, 1] = 0.0
+        with pytest.raises(InvalidInputError):
+            stack.forward(X)
+
+    def test_validate_checks_every_member(self):
+        stack = MvnnParams.stack([init_params([3, 2, 1], InitHyper(), seed=s) for s in range(3)])
+        stack.biases[0][1, 0] = 0.1
+        with pytest.raises(InvalidInputError, match="positive bias"):
+            stack.validate()
+
+
 class TestInitialization:
     def test_mixture_moments(self):
         # Monte-Carlo check of the designed pre-activation distribution at

@@ -1,5 +1,7 @@
 """Hand-derived gradients, projection, and mean-network training."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from iterauction.training import (
     Adam,
     Grads,
     TrainHyper,
+    _mean_data_grads,
+    _train_loop,
     mean_loss_and_grads,
     r_squared,
     smooth_l1,
@@ -240,6 +244,26 @@ class TestTrainMean:
         for _ in range(200):
             a, b = random_containment_pair(5, rng)
             assert net.forward(a.astype(float)) <= net.forward(b.astype(float)) + 1e-12
+
+    def test_best_epoch_is_kept_while_training_continues(self):
+        # a score that is lowest after epoch 3: training on to epoch 8 must
+        # return the network of epoch 3, as stopping there does
+        reports = self._reports(3)
+        X = np.stack([b for b, _ in reports]).astype(float)
+        y = np.array([v for _, v in reports])
+
+        def fit(epochs):
+            scores = iter([3, 2, 1, 0, 1, 2, 3, 4, 5])
+            rng = np.random.default_rng(0)
+            params = init_params([5, 6, 1], InitHyper(), (0.1, 1.0), rng)
+            grads = functools.partial(_mean_data_grads, hyper=TrainHyper(epochs=epochs))
+            best, score = _train_loop(params, X, y, TrainHyper(epochs=epochs), rng, grads,
+                                      lambda p: next(scores))
+            assert score == 0
+            assert not any(np.shares_memory(a, b) for a in best.weights for b in params.weights)
+            return best
+
+        assert fit(8).to_json() == fit(3).to_json()
 
     def test_deterministic_given_seed(self):
         reports = self._reports(2)

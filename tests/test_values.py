@@ -110,10 +110,20 @@ class TestGeneratorConfigJson:
         ({"n": True, "m": 4}, "'n'"),
         ({"n": 2, "m": 4.0}, "'m'"),
         ({"n": 2, "m": 4, "synergy_scale": "2"}, "'synergy_scale'"),
+        ({"n": 2, "m": 4, "gamma_range": 0.5}, "'gamma_range'"),
+        ({"n": 2, "m": 4, "gamma_range": [0.5]}, "'gamma_range'"),
+        ({"n": 2, "m": 4, "gamma_range": ["a", 1]}, "'gamma_range'"),
+        ({"n": 2, "m": 4, "bidder_kinds": "additive"}, "'bidder_kinds'"),
+        ({"n": 2, "m": 4, "bidder_kinds": ["additive", 1]}, "'bidder_kinds'"),
     ])
     def test_missing_or_mistyped_key_is_rejected(self, obj, key):
         with pytest.raises(InvalidInputError, match=key):
             ia.GeneratorConfig.from_json_obj(obj)
+
+    def test_tuple_fields_take_lists(self):
+        cfg = ia.GeneratorConfig.from_json_obj(
+            {"n": 2, "m": 4, "bidder_kinds": ["coverage"], "gamma_range": [0.5, 1]})
+        assert cfg == ia.GeneratorConfig(n=2, m=4, bidder_kinds=("coverage",), gamma_range=(0.5, 1.0))
 
     def test_int_passes_as_float(self):
         cfg = ia.GeneratorConfig.from_json_obj({"n": 2, "m": 4, "synergy_scale": 2})

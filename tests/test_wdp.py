@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import iterauction as ia
 from iterauction import wdp
 from iterauction.errors import InvalidInputError, UnsupportedSizeError
-from iterauction.mvnn import InitHyper, init_params
+from iterauction.mvnn import InitHyper, MvnnParams, init_params
 from iterauction.wdp import (
     SolveBudget,
     box_bounds,
@@ -167,6 +167,61 @@ class TestBranchAndBound:
             solve_wdp([lambda X: np.zeros(len(X))], 0)
 
 
+def same_solution(a, b) -> bool:
+    return (a.allocation.tolist() == b.allocation.tolist() and a.objective == b.objective
+            and (a.status, a.proven_gap, a.nodes) == (b.status, b.proven_gap, b.nodes))
+
+
+class TestStackedEvaluation:
+    def test_one_forward_call_per_internal_node(self, monkeypatch):
+        # one call on the n single-item rows of every bidder, then one
+        # (n, 2, m) call per internal node; leaves reuse their bound
+        n, m = 3, 6
+        nets = random_nets(n, m, np.random.default_rng(5), hidden=(10,))
+        ref = solve_wdp([p.forward for p in nets], m, budget=SolveBudget(relative_gap=0.0))
+        shapes = []
+        forward = MvnnParams.forward
+
+        def counted(self, X):
+            shapes.append(np.shape(X))
+            return forward(self, X)
+
+        monkeypatch.setattr(MvnnParams, "forward", counted)
+        sol = solve_wdp(MvnnParams.stack(nets), m, budget=SolveBudget(relative_gap=0.0))
+        assert shapes[0] == (n, m, m)
+        assert all(shape == (n, 2, m) for shape in shapes[1:])
+        assert len(shapes) <= sol.nodes  # 1 + internal nodes, and at least one node is a leaf
+        assert same_solution(sol, ref)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stack_and_list_give_the_same_solution(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 5)), int(rng.integers(2, 8))
+        nets = random_nets(n, m, rng, hidden=(10, 10), skip=bool(seed % 2))
+        first = solve_wdp([p.forward for p in nets], m, budget=SolveBudget(relative_gap=0.0))
+        excl = [{(0,) * m, tuple(first.allocation[0])}] + [None] * (n - 1)
+        for budget in (SolveBudget(relative_gap=0.0), SolveBudget(relative_gap=0.05)):
+            stacked = solve_wdp(MvnnParams.stack(nets), m, budget=budget, exclusions=excl)
+            listed = solve_wdp([p.forward for p in nets], m, budget=budget, exclusions=excl)
+            assert same_solution(stacked, listed)
+
+    @pytest.mark.parametrize("k", [7, 40])
+    def test_stack_and_list_stop_alike_on_a_time_limit(self, monkeypatch, k):
+        n, m = 3, 6
+        nets = random_nets(n, m, np.random.default_rng(6), hidden=(10,))
+        excl = [{(0,) * m, (1,) * m, (1, 1, 0, 0, 1, 1)}, None, None]
+
+        def solve(evaluators):
+            ticks = itertools.count()
+            monkeypatch.setattr(wdp, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+            return solve_wdp(evaluators, m, exclusions=excl,
+                             budget=SolveBudget(relative_gap=0.0, time_limit_secs=k + 0.5))
+
+        stacked = solve(MvnnParams.stack(nets))
+        assert stacked.status == "time_limit"
+        assert same_solution(stacked, solve([p.forward for p in nets]))
+
+
 @st.composite
 def wdp_instances(draw):
     n = draw(st.integers(1, 3))
@@ -202,6 +257,13 @@ class TestBackendsAgree:
         assert nb.objective == pytest.approx(bf.objective, abs=1e-9)
         assert nb.allocation.tolist() == bf.allocation.tolist()
         assert milp_wdp(nets, exclusions=excl).objective == pytest.approx(bf.objective, abs=1e-7)
+        if len({p.skip is None for p in nets}) > 1:  # skip is drawn per net
+            with pytest.raises(InvalidInputError, match="architecture"):
+                MvnnParams.stack(nets)
+        else:
+            stacked = solve_wdp(MvnnParams.stack(nets), m, budget=SolveBudget(relative_gap=0.0),
+                                exclusions=excl)
+            assert same_solution(stacked, nb)
 
 
 class TestMilpEncoding:
@@ -228,6 +290,33 @@ class TestMilpEncoding:
             net = random_nets(1, 5, rng, hidden=(4, 4), skip=bool(trial % 2))[0]
             for x in itertools.product([0, 1], repeat=5):
                 assert check_encoding_at(net, np.array(x, dtype=np.float64))
+
+    def test_unpruned_encoding_pins_an_always_off_neuron(self):
+        # o = 0.01 (x1 + x2) - 0.05 < 0 on every bundle: unpruned, the
+        # neuron's z must be pinned to 0, not given the empty box [0, u]
+        off = MvnnParams(weights=[np.array([[0.01, 0.01]]), np.array([[1.0]])],
+                         biases=[np.array([-0.05])], cutoffs=[np.array([0.5])])
+        other = random_nets(1, 2, np.random.default_rng(8), hidden=(3,))[0]
+        for x in itertools.product([0, 1], repeat=2):
+            assert check_encoding_at(off, np.array(x, dtype=np.float64))
+        for nets in ([off], [off, other], [other, off]):
+            bf = brute_force_wdp([p.forward for p in nets], 2)
+            for prune in (False, True):
+                assert milp_wdp(nets, prune=prune).objective == pytest.approx(bf.objective, abs=1e-7)
+
+    def test_unpruned_milp_matches_brute_force_on_narrow_nets(self):
+        # width-1 layers are often always off; the unpruned model stays feasible
+        rng = np.random.default_rng(77)
+        pinned = 0
+        for _ in range(20):
+            m = int(rng.integers(2, 6))
+            nets = random_nets(2, m, rng, hidden=(1, 1))
+            pinned += sum(float(hi.max()) < 0 for net in nets for _, hi in box_bounds(net))
+            bf = brute_force_wdp([p.forward for p in nets], m)
+            assert milp_wdp(nets, prune=False).objective == pytest.approx(bf.objective, abs=1e-7)
+            for x in itertools.product([0, 1], repeat=m):
+                assert check_encoding_at(nets[0], np.array(x, dtype=np.float64))
+        assert pinned > 0
 
     def test_encoding_check_reads_the_encoder_rows(self, monkeypatch):
         # a first-layer ub2 row z <= o - l (1 - alpha) is tight at the empty
