@@ -10,6 +10,7 @@ by construction.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -153,24 +154,62 @@ class MvnnParams:
         return cls.from_json_obj(json.loads(text))
 
 
-def forward_cache(params: MvnnParams, X: np.ndarray):
+# A product of fan-in at or above this can take OpenBLAS's AVX-512
+# small-matrix dgemm kernel, which sums in another order than its general one.
+_SMALL_KERNEL_FAN_IN = 32
+
+
+def forward_cache(params: MvnnParams, X: np.ndarray, blocks: tuple[int, ...] | None = None):
     """The network's forward pass on a batch (B, m), or a stack's on
     (n, B, m): its outputs (B,) or (n, B), the hidden pre-activations O and
     the layer inputs Z (X first), as kept for backprop.  Unlike
     ``MvnnParams.forward`` it does not check the cutoffs.  Working in place
-    saves two temporaries per layer on the B&B's hot path."""
+    saves two temporaries per layer on the B&B's hot path.
+
+    ``blocks``, used by training only, splits a single net's batch into
+    consecutive row blocks of these sizes.  The result equals one call per
+    block, bit for bit, by two row rules of OpenBLAS:
+
+    - a gemm row has the same bits wherever it sits in the batch, so a
+      hidden layer's product runs once over all rows;
+    - a gemv row does not, so the one-column output and skip products run
+      once per block.  A one-row block makes its hidden products gemv too,
+      and a fan-in of 32 or more can take the small-matrix kernel, so such
+      products also run per block.
+
+    Threading: OpenBLAS runs a gemm of more than about 2^19 multiply-adds
+    (rows x fan-in x width) on a second thread, which then spins between
+    calls; so a caller that batches many rows splits them into calls whose
+    widest product stays below that.
+    """
     Z, O, z = [X], [], X
     for W, b, t in zip(params.weights, params.biases, params.cutoffs):  # the hidden layers
-        o = z @ W.swapaxes(-1, -2)
+        WT = W.swapaxes(-1, -2)
+        if blocks is None or (min(blocks) > 1 and W.shape[-1] < _SMALL_KERNEL_FAN_IN):
+            o = z @ WT
+        else:
+            o = _per_block(z, WT, blocks)
         o += b[..., None, :]  # broadcast over the rows
         z = np.maximum(o, 0.0)
         np.minimum(z, t[..., None, :], out=z)
         O.append(o)
         Z.append(z)
-    out = (z @ params.weights[-1].swapaxes(-1, -2))[..., 0]
+    WT = params.weights[-1].swapaxes(-1, -2)
+    out = (z @ WT if blocks is None else _per_block(z, WT, blocks))[..., 0]
     if params.skip is not None:
-        out = out + (X @ params.skip[..., None])[..., 0]
+        skip = params.skip[..., None]
+        out = out + (X @ skip if blocks is None else _per_block(X, skip, blocks))[..., 0]
     return out, O, Z
+
+
+def _row_spans(blocks: tuple[int, ...]) -> list[slice]:
+    """The row slices of consecutive blocks of these sizes."""
+    return [slice(end - size, end) for size, end in zip(blocks, itertools.accumulate(blocks))]
+
+
+def _per_block(a: np.ndarray, B: np.ndarray, blocks: tuple[int, ...]) -> np.ndarray:
+    """``a @ B`` as one product per row block of ``a``."""
+    return np.concatenate([a[s] @ B for s in _row_spans(blocks)])
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .mvnn import MvnnParams, forward_cache, init_params
+from .mvnn import MvnnParams, _per_block, _row_spans, forward_cache, init_params
 
 CUTOFF_FLOOR = 1e-3
 
@@ -33,27 +34,54 @@ class TrainHyper:
     retrain_r2_threshold: float = 0.9
 
     def __post_init__(self):
-        self.cutoff_init_range = tuple(self.cutoff_init_range)
-        if self.learning_rate <= 0 or self.epochs < 1:
-            raise InvalidInputError("learning rate and epochs must be positive")
-        if self.smooth_l1_beta < 0 or self.l2_lambda < 0:
-            raise InvalidInputError("beta and lambda must be non-negative")
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral):
+            raise InvalidInputError(f"epochs must be an int, got {self.epochs!r}")
+        # written so that NaN fails every check
+        if not (0 < self.learning_rate < math.inf) or self.epochs < 1:
+            raise InvalidInputError("learning rate and epochs must be positive and finite")
+        if not (self.smooth_l1_beta >= 0 and self.l2_lambda >= 0 and self.clip_grad_norm >= 0):
+            raise InvalidInputError("beta, lambda and the clip norm must be non-negative")
+        try:
+            lo, hi = self.cutoff_init_range
+            ok = 0 <= lo <= hi < math.inf
+        except (TypeError, ValueError):  # not a pair of numbers
+            ok = False
+        if not ok:
+            raise InvalidInputError("cutoff_init_range must be two values 0 <= lo <= hi, "
+                                    f"got {self.cutoff_init_range!r}")
+        self.cutoff_init_range = (lo, hi)
+
+
+def _sum(a: np.ndarray) -> float:
+    """``float(a.sum())`` without numpy's Python-level wrapper (the same
+    pairwise sum); divided by the length, it is ``float(a.mean())`` too."""
+    return float(np.add.reduce(a, axis=None))
 
 
 def smooth_l1(x, y, beta: float):
     """Smooth L1 loss; beta = 0 degenerates to the absolute error."""
-    r = np.abs(np.asarray(x, dtype=np.float64) - y)
-    if beta == 0:
-        return r
-    return np.where(r <= beta, 0.5 / beta * r * r, r - 0.5 * beta)
+    return _huber(np.abs(np.asarray(x, dtype=np.float64) - y), beta)
 
 
 def smooth_l1_grad(x, y, beta: float):
     """d/dx smooth_l1(x, y)."""
-    r = np.asarray(x, dtype=np.float64) - y
+    return _huber_slope(np.asarray(x, dtype=np.float64) - y, beta)
+
+
+def _huber(r, beta: float):
+    """``smooth_l1`` of a residual r >= 0 (or -0.0, which gives +0.0 as
+    well), without taking |r| again."""
+    if beta == 0:
+        return np.abs(r)
+    return np.where(r <= beta, 0.5 / beta * r * r, r - 0.5 * beta)
+
+
+def _huber_slope(r, beta: float):
+    """``smooth_l1_grad`` of a residual r: r / beta clipped to [-1, 1], bit
+    for bit the piecewise form, as |r| > beta gives |r| / beta >= 1."""
     if beta == 0:
         return np.sign(r)
-    return np.where(np.abs(r) <= beta, r / beta, np.sign(r))
+    return np.minimum(np.maximum(r / beta, -1.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +110,8 @@ class _Layout:
                 end = self.groups[-1][-1][1]
             ends.append(end)
         _, self.n_pos, self.n_reg, self.size = ends
+        # each array's span in the order of ``Grads.arrays``
+        self.array_spans = [(a, z) for k in (0, 2, 3, 1) for a, z, _ in self.groups[k]]
 
     def views(self, flat: np.ndarray):
         """(weights, skip, biases, cutoffs) as views of ``flat``."""
@@ -101,6 +131,7 @@ class Grads:
     are views of the one buffer ``flat`` (see ``_Layout``)."""
 
     def __init__(self, layout: _Layout):
+        self.layout = layout
         self.flat = np.zeros(layout.size)
         self.weights, self.skip, self.biases, self.cutoffs = layout.views(self.flat)
 
@@ -112,25 +143,40 @@ class Grads:
         return self.weights + self.biases + self.cutoffs + _optional(self.skip)
 
     def global_norm(self) -> float:
-        return float(np.sqrt(sum(float((g * g).sum()) for g in self.arrays())))
+        """The L2 norm over every entry: one squared buffer, summed per
+        array in ``arrays`` order."""
+        sq = self.flat * self.flat
+        return math.sqrt(sum(_sum(sq[a:z]) for a, z in self.layout.array_spans))
 
 
-def _backward(g: Grads, params: MvnnParams, X, O, Z, out_grad, add: bool) -> None:
-    """Write into ``g`` (or, with ``add``, add to it) the parameter gradients
-    of sum_b out_grad[b] * net(X[b])."""
-    put = (lambda dst, val: np.add(dst, val, out=dst)) if add else np.copyto
-    put(g.weights[-1], (out_grad @ Z[-1]).reshape(1, -1))
-    if params.skip is not None:
-        put(g.skip, out_grad @ X)
+def _backward(g: Grads, params: MvnnParams, X, O, Z, out_grad, blocks=None) -> None:
+    """Write into ``g`` the parameter gradients of sum_b out_grad[b] * net(X[b]).
+
+    With ``blocks`` (as in ``forward_cache``) every row sum and product runs
+    once per block, and ``g`` is the first block's gradients with each later
+    block's added in order: bit for bit the sum of one call per block.  The
+    elementwise work runs once over all rows."""
+    spans = [slice(None)] if blocks is None else _row_spans(blocks)
+    parts = list(zip(spans, [g] + [Grads(g.layout) for _ in spans[1:]]))
+    for s, d in parts:
+        np.matmul(out_grad[s], Z[-1][s], out=d.weights[-1][0])
+        if params.skip is not None:
+            np.matmul(out_grad[s], X[s], out=d.skip)
     delta = out_grad[:, None] * params.weights[-1]
     for k in range(params.num_hidden - 1, -1, -1):
         o, t = O[k], params.cutoffs[k]
         # z = t on the saturated region; subgradient 0 at the kinks themselves
-        put(g.cutoffs[k], (delta * (o > t)).sum(axis=0))
+        sat = delta * (o > t)
         do = delta * ((o > 0) & (o < t))
-        put(g.biases[k], do.sum(axis=0))
-        put(g.weights[k], do.T @ Z[k])
-        delta = do @ params.weights[k]
+        for s, d in parts:
+            np.add.reduce(sat[s], axis=0, out=d.cutoffs[k])
+            np.add.reduce(do[s], axis=0, out=d.biases[k])
+            np.matmul(do[s].T, Z[k][s], out=d.weights[k])
+        if k:  # the input's own gradient is not needed
+            W = params.weights[k]
+            delta = do @ W if blocks is None else _per_block(do, W, blocks)
+    for _, d in parts[1:]:
+        g.flat += d.flat
 
 
 def _regularised(params: MvnnParams) -> np.ndarray:
@@ -139,13 +185,16 @@ def _regularised(params: MvnnParams) -> np.ndarray:
                            + params.biases])
 
 
-def _add_l2(g: Grads, theta: np.ndarray, lam: float) -> float:
-    """Add 2 * lam * theta, the gradient of lam * ||theta||^2, to the same
-    prefix of ``g.flat``, for ``theta`` as ``_regularised``; return the penalty."""
-    if lam == 0:
-        return 0.0
-    g.flat[: theta.size] += 2 * lam * theta
-    return lam * float(theta @ theta)
+def _add_l2(g: Grads, theta: np.ndarray, lam: float) -> None:
+    """Add 2 * lam * theta, the gradient of ``_l2_penalty``, to the same
+    prefix of ``g.flat``, for ``theta`` as ``_regularised``."""
+    if lam != 0:
+        g.flat[: theta.size] += 2 * lam * theta
+
+
+def _l2_penalty(theta: np.ndarray, lam: float) -> float:
+    """lam * ||theta||^2."""
+    return 0.0 if lam == 0 else lam * float(theta @ theta)
 
 
 class Adam:
@@ -168,8 +217,8 @@ class Adam:
         params.weights, params.skip, params.biases, params.cutoffs = self.layout.views(self.theta)
         # frozen cutoffs are the vector's tail: only the prefix is stepped
         self._n_step = self.layout.size if hyper.trainable_cutoffs else self.layout.n_reg
-        self._m = np.zeros(self._n_step)
-        self._v = np.zeros(self._n_step)
+        # the moments and two scratch buffers
+        self._m, self._v, self._a, self._b = np.zeros((4, self._n_step))
 
     def step(self, grads: Grads) -> None:
         h, n = self.hyper, self._n_step
@@ -180,12 +229,23 @@ class Adam:
         self.t += 1
         b1c = 1 - self.beta1**self.t
         b2c = 1 - self.beta2**self.t
-        g, m, v = grads.flat[:n], self._m, self._v
+        # in place, in the operation order of
+        #   m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
+        #   theta -= lr (m / b1c) / (sqrt(v / b2c) + eps)
+        g, m, v, a, b = grads.flat[:n], self._m, self._v, self._a, self._b
         m *= self.beta1
-        m += (1 - self.beta1) * g
+        m += np.multiply(g, 1 - self.beta1, out=a)
+        np.multiply(g, 1 - self.beta2, out=a)
+        a *= g
         v *= self.beta2
-        v += (1 - self.beta2) * g * g
-        self.theta[:n] -= h.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        v += a
+        np.divide(m, b1c, out=a)
+        a *= h.learning_rate
+        np.divide(v, b2c, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        self.theta[:n] -= a
         self.project()
 
     def project(self) -> None:
@@ -205,7 +265,7 @@ def _mean_data_grads(g: Grads, params: MvnnParams, X, y, hyper: TrainHyper):
     the network's outputs."""
     out, O, Z = forward_cache(params, X)
     out_grad = smooth_l1_grad(out, y, hyper.smooth_l1_beta) / X.shape[0]
-    _backward(g, params, X, O, Z, out_grad, add=False)
+    _backward(g, params, X, O, Z, out_grad)
     return out
 
 
@@ -214,7 +274,9 @@ def mean_loss_and_grads(params: MvnnParams, X, y, hyper: TrainHyper):
     g = Grads.zeros_like(params)
     out = _mean_data_grads(g, params, X, y, hyper)
     data = float(smooth_l1(out, y, hyper.smooth_l1_beta).mean())
-    return data + _add_l2(g, _regularised(params), hyper.l2_lambda), g
+    theta = _regularised(params)
+    _add_l2(g, theta, hyper.l2_lambda)
+    return data + _l2_penalty(theta, hyper.l2_lambda), g
 
 
 def r_squared(pred: np.ndarray, y: np.ndarray) -> float:
@@ -225,21 +287,41 @@ def r_squared(pred: np.ndarray, y: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def _train_loop(params: MvnnParams, X, y, hyper: TrainHyper, rng, batch_grads, score):
-    """One full-batch Adam step per epoch on (X, y); returns the parameters
-    and score of the epoch (the start counting as epoch 0) with the lowest
-    ``score(params)``.  ``batch_grads(g, params, X, y)`` writes into ``g``
-    the data-loss gradients; ``Adam.step`` adds the L2 term."""
-    n = X.shape[0]
+def _epoch_draws(rng: np.random.Generator, epochs: int, n: int, art_shape=None):
+    """Every epoch's random draws, made up front in the order an
+    epoch-by-epoch loop makes them: a permutation of the n reports, then,
+    given ``art_shape``, that many Unif[0, 1) artificial points.  Returns
+    the permutations (epochs, n) and the points (epochs, *art_shape), or
+    None for them."""
+    perms = np.empty((epochs, n), dtype=np.intp)
+    arts = None if art_shape is None else np.empty((epochs, *art_shape))
+    for e in range(epochs):
+        perms[e] = rng.permutation(n)
+        if arts is not None:
+            arts[e] = rng.uniform(0.0, 1.0, size=art_shape)
+    return perms, arts
+
+
+def _train_loop(params: MvnnParams, hyper: TrainHyper, batches, batch_grads, score):
+    """One full-batch Adam step per item of ``batches``, one item per epoch;
+    returns the parameters and score of the epoch (the start counting as
+    epoch 0) with the lowest ``score(params)``.  ``batch_grads(g, params,
+    *batch)`` writes into ``g`` the data-loss gradients of that epoch's
+    batch; ``Adam.step`` adds the L2 term.
+
+    Draw order: the loop draws nothing.  Each batch carries its epoch's
+    draws from ``_epoch_draws``, made before the loop: the reports in a
+    fresh permutation (the shuffle leaves the full-batch loss unchanged,
+    but it fixes the rows' summation order), then, for the learned bound,
+    the artificial points.  A generator gives the same numbers whether they
+    are drawn up front or epoch by epoch, so the fit is the same as well.
+    """
     opt = Adam(params, hyper)
     g = Grads.zeros_like(params)
     best = opt.theta.copy()  # the best epoch's flat vector; the network is built once, at the end
     best_loss = score(params)
-    for _ in range(hyper.epochs):
-        # The shuffle leaves the full-batch loss unchanged, but it fixes the
-        # rows' summation order and the random stream the callbacks share.
-        idx = rng.permutation(n)
-        batch_grads(g, params, X[idx], y[idx])
+    for batch in batches:
+        batch_grads(g, params, *batch)
         opt.step(g)
         cur = score(params)
         if cur < best_loss:
@@ -268,15 +350,16 @@ def train_mean(
     y = np.asarray([v for _, v in reports], dtype=np.float64)
 
     def train_mae(p):
-        return float(np.abs(p.forward(X) - y).mean())
+        return _sum(np.abs(p.forward(X) - y)) / len(y)
 
     def attempt(s):
         rng = np.random.default_rng(s)
         params = init_params(
             layer_dims, init_hyper, train_hyper.cutoff_init_range, rng, skip=skip
         )
+        perms, _ = _epoch_draws(rng, train_hyper.epochs, X.shape[0])
         batch_grads = functools.partial(_mean_data_grads, hyper=train_hyper)
-        return _train_loop(params, X, y, train_hyper, rng, batch_grads, train_mae)
+        return _train_loop(params, train_hyper, zip(X[perms], y[perms]), batch_grads, train_mae)
 
     best, best_mae = attempt(seed)
     if r_squared(best.forward(X), y) < train_hyper.retrain_r2_threshold:

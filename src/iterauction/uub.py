@@ -23,11 +23,19 @@ from .training import (
     TrainHyper,
     _add_l2,
     _backward,
+    _epoch_draws,
+    _huber,
+    _huber_slope,
+    _l2_penalty,
     _regularised,
+    _sum,
     _train_loop,
-    smooth_l1,
-    smooth_l1_grad,
 )
+
+# Training evaluates the frozen networks on every epoch's artificial points
+# in calls of whole epochs whose widest product stays under this many
+# multiply-adds, where OpenBLAS runs a gemm on one thread (see forward_cache).
+_FROZEN_CALL_MACS = 2**18
 
 
 def elu(x):
@@ -41,8 +49,8 @@ def g_gate(x):
 
 
 def g_gate_grad(x):
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0, 1.0, np.exp(np.minimum(x, 0.0)))
+    # exp(0) is exactly 1, the gate's slope for x >= 0
+    return np.exp(np.minimum(np.asarray(x, dtype=np.float64), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +168,13 @@ def _loss_terms(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta:
         # soft penalty on the positive part of `excess`; d excess/d out_art = sign
         c = hyper.mu_exp * hyper.c_exp * pi
         pos = np.maximum(excess, 0.0)
-        return (c * float(smooth_l1(pos, 0.0, beta).mean()) if values else 0.0, 0.0,
-                sign * c / n_art * smooth_l1_grad(pos, 0.0, beta) * (excess > 0) if grads else 0.0)
+        return (c * (_sum(_huber(pos, beta)) / n_art) if values else 0.0, 0.0,
+                sign * c / n_art * _huber_slope(pos, beta) * (excess > 0) if grads else 0.0)
 
-    terms = {"data": (hyper.mu_sqr * float(smooth_l1(out_tr, y, beta).sum()) if values else 0.0,
-                      hyper.mu_sqr * smooth_l1_grad(out_tr, y, beta) if grads else 0.0, 0.0)}
+    r_tr = out_tr - y
+    slope_tr = _huber_slope(r_tr, beta) if grads else None
+    terms = {"data": (hyper.mu_sqr * _sum(_huber(np.abs(r_tr), beta)) if values else 0.0,
+                      hyper.mu_sqr * slope_tr if grads else 0.0, 0.0)}
     s = np.minimum(out_art, exact_art) - mean_art
     if hyper.loss_variant == "main-paper":
         arg = -hyper.c_exp * s
@@ -172,15 +182,15 @@ def _loss_terms(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta:
         arg = 0.01 - hyper.c_exp * s
     d_push = (hyper.mu_exp * g_gate_grad(arg) / n_art * (-hyper.c_exp) * (out_art < exact_art)
               if grads else 0.0)
-    terms["push_up"] = (hyper.mu_exp * float(g_gate(arg).mean()) if values else 0.0, 0.0, d_push)
+    terms["push_up"] = (hyper.mu_exp * (_sum(g_gate(arg)) / n_art) if values else 0.0, 0.0, d_push)
     terms["below_exact"] = hinge(out_art - exact_art, hyper.pi_uub, 1.0)
     terms["above_mean"] = hinge(mean_art - out_art, hyper.pi_mean, -1.0)
     if hyper.loss_variant == "appendix-detailed":
-        over = np.maximum(out_tr - y, 0.0)
+        over = np.maximum(r_tr, 0.0) if values else None
         terms["stability"] = (
-            hyper.mu_sqr * float((0.001 * over + 0.5 * smooth_l1(over, 0.0, beta)).sum())
-            if values else 0.0,
-            hyper.mu_sqr * (0.001 + 0.5 * smooth_l1_grad(over, 0.0, beta)) * (out_tr > y)
+            hyper.mu_sqr * _sum(0.001 * over + 0.5 * _huber(over, beta)) if values else 0.0,
+            # where r > 0 the slope at max(r, 0) is slope_tr; elsewhere the mask zeroes it
+            hyper.mu_sqr * (0.001 + 0.5 * np.maximum(slope_tr, 0.0)) * (out_tr > y)
             if grads else 0.0,
             0.0,
         )
@@ -209,37 +219,39 @@ def nomu_loss(
 
 def _frozen_terms(mean_net, exact_net, X, y, X_art, hyper: NomuHyper, beta: float):
     """``nomu_loss_terms`` as a function of the learned bound alone; the
-    frozen networks are evaluated on ``X_art`` once, here."""
+    frozen networks are evaluated on ``X_art``, and the reports and
+    ``X_art`` stacked into one batch, once, here."""
     mean_art, exact_art = mean_net.forward(X_art), exact_net.forward(X_art)
+    XA = np.concatenate([X, X_art])
 
     def terms(uub_net: MvnnParams) -> dict[str, float]:
-        t = _loss_terms(uub_net.forward(X), uub_net.forward(X_art), y, mean_art, exact_art,
-                        hyper, beta, grads=False)
+        t = _nomu_pass(uub_net, XA, X.shape[0], y, mean_art, exact_art, hyper, beta)
         return {name: value for name, (value, _, _) in t.items()}
 
     return terms
 
 
-def _nomu_grads(g: Grads, uub_net, mean_net, exact_net, X, y, X_art, hyper: NomuHyper,
-                beta: float, values: bool, only_term: str | None = None) -> float:
-    """Write into ``g`` the loss gradients without L2 (of ``only_term``
-    alone if given); return the loss, or 0.0 unless ``values``."""
-    out_tr, O_tr, Z_tr = forward_cache(uub_net, X)
-    out_art, O_art, Z_art = forward_cache(uub_net, X_art)
-    terms = _loss_terms(out_tr, out_art, y, mean_net.forward(X_art), exact_net.forward(X_art),
-                        hyper, beta, values=values)
-    loss = 0.0
-    gout_tr = np.zeros_like(out_tr)
-    gout_art = np.zeros_like(out_art)
-    for name, (value, d_tr, d_art) in terms.items():
-        if only_term and name != only_term:
-            continue
-        loss += value
-        gout_tr += d_tr
-        gout_art += d_art
-    _backward(g, uub_net, X, O_tr, Z_tr, gout_tr, add=False)
-    _backward(g, uub_net, X_art, O_art, Z_art, gout_art, add=True)
-    return loss
+def _nomu_pass(uub_net, XA, n, y, mean_art, exact_art, hyper: NomuHyper, beta: float,
+               g: Grads | None = None, values: bool = True, only_term: str | None = None) -> dict:
+    """The loss terms of ``uub_net`` on ``XA``, the n reports followed by
+    the artificial points, from one forward pass, as ``_loss_terms`` gives
+    them.  With ``g``, also write into it the gradients of the loss without
+    L2 (of ``only_term`` alone if given)."""
+    blocks = (n, XA.shape[0] - n)
+    out, O, Z = forward_cache(uub_net, XA, blocks)
+    terms = _loss_terms(out[:n], out[n:], y, mean_art, exact_art, hyper, beta,
+                        grads=g is not None, values=values)
+    if g is not None:
+        gout = np.zeros_like(out)
+        for name, (_, d_tr, d_art) in terms.items():
+            if only_term in (None, name):
+                # a term's scalar 0.0 is skipped: it would change no entry, as
+                # sums that start at +0.0 never reach -0.0
+                for part, d in ((gout[:n], d_tr), (gout[n:], d_art)):
+                    if isinstance(d, np.ndarray):
+                        part += d
+        _backward(g, uub_net, XA, O, Z, gout, blocks)
+    return terms
 
 
 def nomu_loss_and_grads(uub_net: MvnnParams, mean_net: MvnnParams, exact_net: MvnnParams, X, y,
@@ -251,11 +263,30 @@ def nomu_loss_and_grads(uub_net: MvnnParams, mean_net: MvnnParams, exact_net: Mv
     to a single named term (no L2), used by the finite-difference checks.
     """
     g = Grads.zeros_like(uub_net)
-    loss = _nomu_grads(g, uub_net, mean_net, exact_net, X, y, X_art, hyper,
-                       train_hyper.smooth_l1_beta, True, only_term)
+    terms = _nomu_pass(uub_net, np.concatenate([X, X_art]), X.shape[0], y,
+                       mean_net.forward(X_art), exact_net.forward(X_art), hyper,
+                       train_hyper.smooth_l1_beta, g=g, only_term=only_term)
+    loss = 0.0
+    for name, (value, _, _) in terms.items():
+        if only_term in (None, name):
+            loss += value
     if only_term is None:
-        loss += _add_l2(g, _regularised(uub_net), train_hyper.l2_lambda)
+        theta = _regularised(uub_net)
+        _add_l2(g, theta, train_hyper.l2_lambda)
+        loss += _l2_penalty(theta, train_hyper.l2_lambda)
     return loss, g
+
+
+def _frozen_outputs(net: MvnnParams, arts: np.ndarray) -> np.ndarray:
+    """``net`` on every epoch's artificial points ``arts`` (epochs, n_art,
+    m), as (epochs, n_art): bit for bit one ``forward`` per epoch, in calls
+    of whole epochs sized to keep OpenBLAS on one thread."""
+    epochs, n_art, m = arts.shape
+    per_call = max(1, _FROZEN_CALL_MACS // (n_art * max(W.size for W in net.weights)))
+    return np.concatenate([
+        forward_cache(net, chunk.reshape(-1, m), (n_art,) * len(chunk))[0]
+        for chunk in np.split(arts, range(per_call, epochs, per_call))
+    ]).reshape(epochs, n_art)
 
 
 def train_uub(reports: list[tuple[np.ndarray, float]], mean_net: MvnnParams, exact_net: MvnnParams,
@@ -266,24 +297,39 @@ def train_uub(reports: list[tuple[np.ndarray, float]], mean_net: MvnnParams, exa
     Artificial comparison points are drawn fresh from Unif([0,1]^m) every
     epoch; best-epoch parameters are kept, scored on a fixed
     artificial sample so the selection criterion is not itself noisy.
+
+    Draw order: the generator seeded with ``seed`` initialises the network,
+    draws the scoring sample, then, per epoch, a permutation of the reports
+    and the epoch's ``n_art`` points (see ``_train_loop``).  All are drawn
+    before the first epoch, so the frozen networks are evaluated once per
+    fit on every epoch's points, in calls that keep OpenBLAS on one thread
+    (a second one would spin for the rest of the fit).  Each epoch is then
+    one forward pass over [permuted reports; its points], and each score
+    one over [reports; scoring sample]; ``forward_cache``'s row rules keep
+    every output bit for bit what separate calls per block give.
     """
     if not reports:
         raise InvalidInputError("cannot train on an empty report list")
     rng = np.random.default_rng(seed)
     X = np.stack([np.asarray(b, dtype=np.float64) for b, _ in reports])
     y = np.asarray([v for _, v in reports], dtype=np.float64)
-    m = X.shape[1]
+    n, m = X.shape
     params = init_params(layer_dims, init_hyper, train_hyper.cutoff_init_range, rng, skip=skip)
 
     X_eval = rng.uniform(0.0, 1.0, size=(max(nomu_hyper.n_art, 128), m))
+    perms, arts = _epoch_draws(rng, train_hyper.epochs, n, (nomu_hyper.n_art, m))
     beta = train_hyper.smooth_l1_beta
 
-    def batch_grads(g, p, xb, yb):
-        X_art = rng.uniform(0.0, 1.0, size=(nomu_hyper.n_art, m))
-        _nomu_grads(g, p, mean_net, exact_net, xb, yb, X_art, nomu_hyper, beta, values=False)
+    XA = np.empty((train_hyper.epochs, n + nomu_hyper.n_art, m))
+    XA[:, :n] = X[perms]
+    XA[:, n:] = arts
+    batches = zip(XA, y[perms], _frozen_outputs(mean_net, arts), _frozen_outputs(exact_net, arts))
+
+    def batch_grads(g, p, xa, yb, mean_art, exact_art):
+        _nomu_pass(p, xa, n, yb, mean_art, exact_art, nomu_hyper, beta, g=g, values=False)
 
     eval_terms = _frozen_terms(mean_net, exact_net, X, y, X_eval, nomu_hyper, beta)
-    best, _ = _train_loop(params, X, y, train_hyper, rng, batch_grads,
+    best, _ = _train_loop(params, train_hyper, batches, batch_grads,
                           lambda p: sum(eval_terms(p).values()))
     best.validate()
     return best

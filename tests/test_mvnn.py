@@ -8,6 +8,7 @@ from iterauction.errors import InvalidInputError
 from iterauction.mvnn import (
     InitHyper,
     MvnnParams,
+    forward_cache,
     init_params,
     init_params_generic,
     mixture_params,
@@ -126,6 +127,36 @@ class TestStack:
         stack.biases[0][1, 0] = 0.1
         with pytest.raises(InvalidInputError, match="positive bias"):
             stack.validate()
+
+
+class TestBlockedForward:
+    """Training evaluates row blocks in one ``forward_cache`` call.  That is
+    bit for bit one call per block only while the BLAS gives a gemm row the
+    same bits wherever it sits in the batch, and the blocked call keeps
+    every one-column (gemv) product per block; a BLAS that breaks either
+    rule fails here."""
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("dims", [[5, 10, 10, 1], [8, 10, 10, 1], [18, 10, 10, 1], [8, 3, 1],
+                                      [40, 10, 1], [8, 40, 36, 1]])
+    @pytest.mark.parametrize("blocks", [(1, 64), (2, 64), (64, 64), (20, 64), (7, 128),
+                                        (1, 1, 2), (64,) * 5])
+    def test_equals_one_call_per_block(self, skip, dims, blocks):
+        rng = np.random.default_rng(sum(blocks) + len(dims))
+        net = init_params(dims, InitHyper(), (0.1, 1.0), seed=len(blocks), skip=skip)
+        m = dims[0]
+        X = np.concatenate([(rng.random((blocks[0], m)) < 0.5).astype(float),  # reports
+                            rng.random((sum(blocks[1:]), m))])  # artificial points
+        out, O, Z = forward_cache(net, X, blocks)
+        start = 0
+        for size in blocks:
+            rows = slice(start, start + size)
+            ref_out, ref_O, ref_Z = forward_cache(net, X[rows].copy())
+            assert out[rows].tobytes() == ref_out.tobytes()
+            for got, ref in zip(O + Z, ref_O + ref_Z):
+                assert got[rows].tobytes() == ref.tobytes()
+            start += size
+        assert start == X.shape[0] == out.shape[0]
 
 
 class TestInitialization:

@@ -5,12 +5,13 @@ import functools
 import numpy as np
 import pytest
 
+from iterauction.errors import InvalidInputError
 from iterauction.mvnn import InitHyper, init_params, random_containment_pair
 from iterauction.training import (
-    CUTOFF_FLOOR,
     Adam,
     Grads,
     TrainHyper,
+    _epoch_draws,
     _mean_data_grads,
     _train_loop,
     mean_loss_and_grads,
@@ -19,9 +20,27 @@ from iterauction.training import (
     smooth_l1_grad,
     train_mean,
 )
-from iterauction.uub import NomuHyper, build_exact_uub, nomu_loss_and_grads
+from iterauction.uub import (
+    LOSS_VARIANTS,
+    NomuHyper,
+    build_exact_uub,
+    nomu_loss_and_grads,
+    train_uub,
+)
 
 from _gradcheck import param_arrays, preactivations_kink_free, worst_relative_error
+from _reference_training import (
+    piecewise_smooth_l1,
+    piecewise_smooth_l1_grad,
+    reference_adam_step,
+    reference_train_mean,
+    reference_train_uub,
+)
+
+# values at and around the smooth-L1 kinks (beta = 1/64), signed zeros,
+# infinities and subnormals
+EDGE_VALUES = np.array([0.0, -0.0, 1 / 64, -1 / 64, 1 / 128, -1 / 128, 0.5, -0.5, 1.0, -1.0,
+                        np.inf, -np.inf, 5e-324, -5e-324, 1e-300])
 
 
 class TestSmoothL1:
@@ -37,6 +56,17 @@ class TestSmoothL1:
         beta = 1 / 64
         assert smooth_l1_grad(beta, 0.0, beta) == pytest.approx(1.0)
         assert smooth_l1_grad(beta - 1e-12, 0.0, beta) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("beta", [0.0, 1 / 64, 0.3])
+    def test_bit_equal_to_the_piecewise_forms(self, beta):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([EDGE_VALUES, rng.normal(scale=0.05, size=200)])
+        y = np.concatenate([rng.choice(EDGE_VALUES[:10], size=EDGE_VALUES.size),
+                            rng.normal(scale=0.05, size=200)])
+        with np.errstate(invalid="ignore"):  # inf - inf
+            for fn, ref in ((smooth_l1, piecewise_smooth_l1),
+                            (smooth_l1_grad, piecewise_smooth_l1_grad)):
+                assert fn(x, y, beta).tobytes() == ref(x, y, beta).tobytes()
 
 
 class TestGradients:
@@ -119,45 +149,6 @@ class TestAdamProjection:
         norm_before = g.global_norm()
         Adam(p, TrainHyper(clip_grad_norm=1.0)).step(g)
         assert norm_before > 1.0 and g.global_norm() <= 1.0 + 1e-9
-
-
-def reference_adam_step(p, grads, state, hyper):
-    """The per-array Adam step: L2 gradient, clipping, moments, update and
-    projection, one array at a time."""
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    regularised = list(p.weights) + list(p.biases) + ([] if p.skip is None else [p.skip])
-    g_reg = list(grads.weights) + list(grads.biases) + ([] if p.skip is None else [grads.skip])
-    if hyper.l2_lambda != 0:
-        for g, theta in zip(g_reg, regularised):
-            g += 2 * hyper.l2_lambda * theta
-    g_all = grads.arrays()  # weights, biases, cutoffs, skip
-    norm = float(np.sqrt(sum(float((g * g).sum()) for g in g_all)))
-    if hyper.clip_grad_norm and norm > hyper.clip_grad_norm:
-        for g in g_all:
-            g *= hyper.clip_grad_norm / (norm + 1e-12)
-    state["t"] += 1
-    t = state["t"]
-    thetas = list(p.weights) + list(p.biases) + list(p.cutoffs)
-    thetas += [] if p.skip is None else [p.skip]
-    frozen = [] if hyper.trainable_cutoffs else [id(c) for c in p.cutoffs]
-    for k, (theta, g) in enumerate(zip(thetas, g_all)):
-        m = state["m"].setdefault(k, np.zeros_like(g))
-        v = state["v"].setdefault(k, np.zeros_like(g))
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        if id(theta) in frozen:
-            continue
-        theta -= hyper.learning_rate * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
-    for W in p.weights:
-        np.maximum(W, 0.0, out=W)
-    for b in p.biases:
-        np.minimum(b, 0.0, out=b)
-    for c in p.cutoffs:
-        np.maximum(c, CUTOFF_FLOOR, out=c)
-    if p.skip is not None:
-        np.maximum(p.skip, 0.0, out=p.skip)
 
 
 def param_bytes(p):
@@ -256,9 +247,10 @@ class TestTrainMean:
             scores = iter([3, 2, 1, 0, 1, 2, 3, 4, 5])
             rng = np.random.default_rng(0)
             params = init_params([5, 6, 1], InitHyper(), (0.1, 1.0), rng)
+            perms, _ = _epoch_draws(rng, epochs, len(y))
             grads = functools.partial(_mean_data_grads, hyper=TrainHyper(epochs=epochs))
-            best, score = _train_loop(params, X, y, TrainHyper(epochs=epochs), rng, grads,
-                                      lambda p: next(scores))
+            best, score = _train_loop(params, TrainHyper(epochs=epochs), zip(X[perms], y[perms]),
+                                      grads, lambda p: next(scores))
             assert score == 0
             assert not any(np.shares_memory(a, b) for a in best.weights for b in params.weights)
             return best
@@ -270,3 +262,73 @@ class TestTrainMean:
         a = train_mean(reports, [5, 6, 1], InitHyper(), TrainHyper(epochs=20), seed=7)
         b = train_mean(reports, [5, 6, 1], InitHyper(), TrainHyper(epochs=20), seed=7)
         assert a.to_json() == b.to_json()
+
+
+class TestTrainHyper:
+    @pytest.mark.parametrize("bad", [
+        {"clip_grad_norm": -1.0},  # would scale every step by a negative factor
+        {"clip_grad_norm": float("nan")},
+        {"epochs": 2.5},
+        {"epochs": True},
+        {"epochs": "3"},
+        {"epochs": 0},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"learning_rate": 0.0},
+        {"l2_lambda": float("nan")},
+        {"cutoff_init_range": 5},
+        {"cutoff_init_range": (0.1,)},
+        {"cutoff_init_range": (0.1, 0.5, 1.0)},
+        {"cutoff_init_range": ("a", 1.0)},
+        {"cutoff_init_range": (0.5, 0.1)},
+        {"cutoff_init_range": (-0.1, 1.0)},
+        {"cutoff_init_range": (float("nan"), 1.0)},
+        {"cutoff_init_range": (0.1, float("inf"))},
+    ])
+    def test_rejects_values_that_break_or_reverse_training(self, bad):
+        with pytest.raises(InvalidInputError):
+            TrainHyper(**bad)
+
+    def test_accepts_the_boundaries(self):
+        h = TrainHyper(epochs=np.int64(3), clip_grad_norm=0.0, cutoff_init_range=[0.0, 0.0])
+        assert h.cutoff_init_range == (0.0, 0.0)
+
+
+def _random_reports(m, k, seed):
+    """The full bundle and k - 1 other distinct bundles, valued by a random
+    monotone function."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, m)
+    bundles = [np.ones(m, dtype=np.int64)]
+    seen = {tuple(bundles[0])}
+    while len(bundles) < k:
+        b = (rng.random(m) < 0.5).astype(np.int64)
+        if b.sum() and tuple(b) not in seen:
+            seen.add(tuple(b))
+            bundles.append(b)
+    return [(b, float((w @ b / w.sum()) ** 0.7)) for b in bundles]
+
+
+class TestAgainstEpochLoop:
+    """``train_mean`` and ``train_uub`` draw every epoch's randomness up
+    front, evaluate the frozen networks once per fit, batch the rows of an
+    epoch into one forward pass and step Adam on one flat vector.  Each must
+    give, byte for byte, the network of the epoch-by-epoch reference loop."""
+
+    @pytest.mark.parametrize("m", [5, 8])
+    @pytest.mark.parametrize("k", [1, 2, 7, 20])
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("trainable_cutoffs", [False, True])
+    def test_fits_equal_the_reference_loop(self, m, k, skip, trainable_cutoffs):
+        reports = _random_reports(m, k, seed=10 * m + k)
+        dims = [m, 10, 10, 1]
+        th = TrainHyper(epochs=12, trainable_cutoffs=trainable_cutoffs)
+        mean = train_mean(reports, dims, InitHyper(), th, seed=k, skip=skip)
+        assert mean.to_json() == reference_train_mean(reports, dims, InitHyper(), th, k,
+                                                      skip).to_json()
+        exact = build_exact_uub(reports)
+        for variant in LOSS_VARIANTS:
+            nh = NomuHyper(loss_variant=variant)
+            upper = train_uub(reports, mean, exact, nh, th, InitHyper(), dims, seed=k, skip=skip)
+            assert upper.to_json() == reference_train_uub(reports, mean, exact, nh, th, InitHyper(),
+                                                          dims, k, skip).to_json()

@@ -12,7 +12,9 @@ from iterauction.training import TrainHyper
 from iterauction.uub import (
     LOSS_VARIANTS,
     NomuHyper,
+    _frozen_outputs,
     _frozen_terms,
+    _loss_terms,
     build_exact_uub,
     elu,
     g_gate,
@@ -24,6 +26,7 @@ from iterauction.uub import (
 )
 
 from _gradcheck import preactivations_kink_free, residuals_kink_free, worst_relative_error
+from _reference_training import reference_loss_terms
 
 
 def random_reports(m, rng, extra=6):
@@ -153,6 +156,44 @@ class TestNomuLoss:
         assert min(checked.values()) >= 3
 
 
+def _bits(a) -> bytes:
+    """The bytes of ``a``, which tell -0.0 from 0.0, with every NaN made the
+    same NaN (a NaN loss is NaN whatever its sign bit)."""
+    a = np.asarray(a, dtype=np.float64)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+class TestLossTermsAgainstReference:
+    @pytest.mark.parametrize("variant", LOSS_VARIANTS)
+    @pytest.mark.parametrize("beta", [0.0, 1 / 64])
+    def test_bit_equal_to_the_term_by_term_forms(self, variant, beta):
+        # values at the kinks, signed zeros, ties between the networks and infinities
+        edge = np.array([0.0, -0.0, 1 / 64, -1 / 64, 1 / 128, 0.5, -1.0, 5e-324, np.inf])
+        rng = np.random.default_rng(int(beta * 64) + len(variant))
+        nh = NomuHyper(loss_variant=variant)
+        for _ in range(300):
+            n, n_art = (int(v) for v in rng.integers(1, 8, size=2))
+            if rng.random() < 0.5:
+                def pick(k):
+                    return rng.choice(edge, k)
+            else:
+                def pick(k):
+                    return rng.normal(size=k)
+            out_tr, y = pick(n), rng.choice(edge[:7], n)
+            out_art, mean_art, exact_art = pick(n_art), pick(n_art), pick(n_art)
+            exact_art[: n_art // 2] = out_art[: n_art // 2]
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+                ref = reference_loss_terms(out_tr, out_art, y, mean_art, exact_art, nh, beta)
+                for grads, values in ((True, False), (False, True), (True, True)):
+                    got = _loss_terms(out_tr, out_art, y, mean_art, exact_art, nh, beta,
+                                      grads=grads, values=values)
+                    assert list(got) == list(ref)
+                    for name, parts in got.items():
+                        for k, keep in enumerate((values, grads, grads)):
+                            if keep:
+                                assert _bits(parts[k]) == _bits(ref[name][k]), (name, k)
+
+
 class TestTrainUub:
     def test_sandwich_between_mean_and_exact(self):
         rng = np.random.default_rng(0)
@@ -188,6 +229,22 @@ class TestTrainUub:
                                 InitHyper(), [m, 6, 1], seed=seed)
                 gaps[mu].append(float((uub.forward(X) - mean.forward(X)).mean()))
         assert np.mean(gaps[1.0]) >= np.mean(gaps[0.01]) - 1e-9
+
+    @pytest.mark.parametrize("k", [12, 40])
+    @pytest.mark.parametrize("n_art", [1, 5, 64])
+    def test_frozen_outputs_equal_one_forward_per_epoch(self, k, n_art):
+        # whole epochs per call; an exact bound over 40 reports has a
+        # hidden fan-in above 32, which runs per block
+        rng = np.random.default_rng(k + n_art)
+        m = 18
+        reports = random_reports(m, rng, extra=k - 1)
+        nets = [build_exact_uub(reports),
+                init_params([m, 10, 10, 1], InitHyper(), (0.1, 1.0), seed=k, skip=True)]
+        assert (nets[0].weights[1].shape[1] > 32) == (k == 40)
+        arts = rng.uniform(0.0, 1.0, size=(60, n_art, m))
+        for net in nets:
+            got = _frozen_outputs(net, arts)
+            assert got.tobytes() == np.stack([net.forward(a) for a in arts]).tobytes()
 
     @pytest.mark.parametrize("variant", LOSS_VARIANTS)
     def test_cached_epoch_score_equals_nomu_loss(self, variant):
