@@ -160,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-wdp", help="winner determination on an instance file")
     p.add_argument("--instance", type=str, required=True)
-    p.add_argument("--relative-gap", type=float, default=0.005)
-    p.add_argument("--time-limit-secs", type=float, default=600.0)
+    p.add_argument("--relative-gap", type=float, default=SolveBudget.relative_gap)
+    p.add_argument("--time-limit-secs", type=float, default=SolveBudget.time_limit_secs)
     _add_common(p)
     p.set_defaults(func=_cmd_solve_wdp)
 

@@ -135,7 +135,6 @@ def next_query(
     bidder: int,
     economy: list[int],
     nets: list[MvnnParams],
-    m: int,
     excluded_bundles: set,
     budget: SolveBudget,
     solves: list | None = None,
@@ -143,20 +142,18 @@ def next_query(
     """The bundle `bidder` receives in a welfare-maximizing allocation of
     the economy's surrogate models, constrained to differ from everything in
     `excluded_bundles` (which must contain the empty bundle so the query is
-    informative).
+    informative).  The economy's nets must share one architecture, as they
+    are stacked (``MvnnParams.stack``); the number of items is theirs.
 
     A solve that is not proven optimal (gap or time limit) is logged as a
     warning; if `solves` is given, the query's WdpSolution is appended."""
     if bidder not in economy:
         raise InvalidInputError("queried bidder must belong to the economy")
-    if len(excluded_bundles) >= 2**m:
+    stacked = MvnnParams.stack([nets[i] for i in economy])
+    if len(excluded_bundles) >= 2**stacked.m:
         raise ExhaustedBidderError("every bundle of this bidder is excluded")
-    try:
-        evaluators = MvnnParams.stack([nets[i] for i in economy])
-    except InvalidInputError:  # exact bounds differ in width where reported values tie
-        evaluators = [nets[i].forward for i in economy]
     exclusions = [excluded_bundles if i == bidder else None for i in economy]
-    sol = solve_wdp(evaluators, m, budget=budget, exclusions=exclusions)
+    sol = solve_wdp(stacked, stacked.m, budget=budget, exclusions=exclusions)
     if sol.status != "optimal":
         log.warning("query for bidder %d in economy %s: status %s, proven gap %.4g",
                     bidder, economy, sol.status, sol.proven_gap)
@@ -244,7 +241,7 @@ def run_mlca(instance, config: MechanismConfig, seed: int = 0) -> AuctionOutcome
             picks = [(i, removed) for i in range(n) for removed in schedule[i]]
             for i, removed in picks + [(i, None) for i in range(n)]:
                 economy = [j for j in range(n) if j != removed]
-                b = next_query(i, economy, nets, m, excluded[i], config.budget, solves)
+                b = next_query(i, economy, nets, excluded[i], config.budget, solves)
                 excluded[i].add(tuple(b))
                 queries.append((i, b))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,11 @@ class MvnnParams:
         if len(self.biases) != K - 1 or len(self.cutoffs) != K - 1:
             raise InvalidInputError("biases/cutoffs must cover exactly the hidden layers")
         lead = self.weights[0].shape[:-2]  # () for one net, (n,) for a stack
+        # each sign check is written so that a NaN fails it
         for k, W in enumerate(self.weights):
             if W.ndim < 2 or W.shape[:-2] != lead:
                 raise InvalidInputError("weights must be matrices with one shared leading shape")
-            if (W < 0).any():
+            if not (W >= 0).all():
                 raise InvalidInputError(f"negative weight in layer {k + 1}")
             if k > 0 and W.shape[-1] != self.weights[k - 1].shape[-2]:
                 raise InvalidInputError("inconsistent layer dimensions")
@@ -63,17 +65,17 @@ class MvnnParams:
         for k, b in enumerate(self.biases):
             if b.shape != self.weights[k].shape[:-1]:
                 raise InvalidInputError("bias shape mismatch")
-            if (b > 0).any():
+            if not (b <= 0).all():
                 raise InvalidInputError(f"positive bias in layer {k + 1}")
         for k, t in enumerate(self.cutoffs):
             if t.shape != self.weights[k].shape[:-1]:
                 raise InvalidInputError("cutoff shape mismatch")
-            if (t <= 0).any():
+            if not (t > 0).all():
                 raise InvalidInputError(f"non-positive cutoff in layer {k + 1}")
         if self.skip is not None:
             if self.skip.shape != (*lead, self.m):
                 raise InvalidInputError("skip weights must have shape (m,)")
-            if (self.skip < 0).any():
+            if not (self.skip >= 0).all():
                 raise InvalidInputError("negative skip weight")
 
     @classmethod
@@ -121,9 +123,10 @@ class MvnnParams:
             raise InvalidInputError(f"input of shape {arr.shape} for weights {self.weights[0].shape}")
         if z.shape[-1] != self.m:
             raise InvalidInputError(f"input length {z.shape[-1]} != {self.m}")
-        # the cutoff check stays per call: nets can be edited in place after validate()
+        # the cutoff check stays per call, NaN failing it too: nets can be
+        # edited in place after validate()
         for t in self.cutoffs:
-            if t.min() <= 0:
+            if not t.min() > 0:
                 raise InvalidInputError("bounded-ReLU cutoff must be positive")
         out = forward_cache(self, z)[0]
         return float(out[0]) if single else out
@@ -228,10 +231,11 @@ class InitHyper:
     eps_little: float = 0.1
 
     def __post_init__(self):
-        if self.e_init <= 0 or self.v_init <= 0:
-            raise InvalidInputError("e_init and v_init must be positive")
-        if min(self.b_init, self.bias_init, self.eps_little) < 0:
-            raise InvalidInputError("init hyperparameters must be non-negative")
+        # written so that NaN fails both checks
+        if not all(0 < v < math.inf for v in (self.e_init, self.v_init)):
+            raise InvalidInputError("e_init and v_init must be positive and finite")
+        if not all(0 <= v < math.inf for v in (self.b_init, self.bias_init, self.eps_little)):
+            raise InvalidInputError("init hyperparameters must be finite and non-negative")
 
     @property
     def m_k(self) -> float:

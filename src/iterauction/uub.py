@@ -12,6 +12,8 @@ Two bounds per bidder:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +64,12 @@ def build_exact_uub(reports: list[tuple[np.ndarray, float]]) -> MvnnParams:
     """Closed-form exact upper bound over monotone normalized functions.
 
     The reports must include the full bundle; the empty bundle at value 0 is
-    implied.  With values sorted ascending w_0=0 <= w_1 <= ... <= w_L, the
-    network output at x equals w_k for the smallest k whose bundle contains
-    x.  Zero-height steps (exactly equal consecutive values) are dropped
-    from the second hidden layer, which leaves the represented function
-    unchanged.
+    implied.  With the L nonempty reports' values sorted ascending,
+    w_0=0 <= w_1 <= ... <= w_L, the network output at x equals w_k for the
+    smallest k whose bundle contains x.  Both hidden layers have width L, one
+    step per nonempty report, so every bidder with L reports gets the same
+    architecture; a zero-height step (a value equal to the one before it)
+    gets output weight 0.
     """
     if not reports:
         raise InvalidInputError("need at least the full-bundle report")
@@ -90,26 +93,16 @@ def build_exact_uub(reports: list[tuple[np.ndarray, float]]) -> MvnnParams:
         raise InvalidInputError("reports must include the full bundle")
 
     pairs.sort(key=lambda p: (p[1], -p[0].sum(), tuple(p[0])))
-    bundles = [np.zeros(m)] + [p[0] for p in pairs]
     w = np.array([0.0] + [p[1] for p in pairs])
     L = len(pairs)
-
-    W1 = np.stack([1.0 - bundles[j] for j in range(L)])  # rows j = 0..L-1
-    b1 = np.zeros(L)
-    t1 = np.ones(L)
-
-    keep = [k for k in range(L) if w[k + 1] - w[k] > 0]
-    if not keep:  # all reported values are 0; constant-zero network
-        keep = [L - 1]
-    W2 = np.zeros((len(keep), L))
-    b2 = np.zeros(len(keep))
-    for row, k in enumerate(keep):
-        W2[row, : k + 1] = 1.0
-        b2[row] = -float(k)
-    t2 = np.ones(len(keep))
-    W3 = (w[np.array(keep) + 1] - w[np.array(keep)]).reshape(1, -1)
-
-    return MvnnParams(weights=[W1, W2, W3], biases=[b1, b2], cutoffs=[t1, t2])
+    # with bundle 0 the empty one, first-layer neuron j is 1 where x has an
+    # item outside bundle j, and step k where x has one outside each of 0..k
+    W1 = 1.0 - np.stack([np.zeros(m)] + [p[0] for p in pairs[:-1]])
+    W2 = np.tril(np.ones((L, L)))
+    b2 = -np.arange(L, dtype=np.float64)
+    W3 = np.diff(w).reshape(1, -1)
+    return MvnnParams(weights=[W1, W2, W3], biases=[np.zeros(L), b2],
+                      cutoffs=[np.ones(L), np.ones(L)])
 
 
 def max_monotone_extension(reports: list[tuple[np.ndarray, float]], x) -> float:
@@ -148,10 +141,13 @@ class NomuHyper:
     loss_variant: str = "appendix-detailed"
 
     def __post_init__(self):
-        if min(self.mu_sqr, self.mu_exp, self.c_exp, self.pi_uub, self.pi_mean) < 0:
-            raise InvalidInputError("loss hyperparameters must be non-negative")
-        if self.n_art < 1:
-            raise InvalidInputError("need at least one artificial point per batch")
+        # written so that NaN fails the check
+        if not all(0 <= v < math.inf
+                   for v in (self.mu_sqr, self.mu_exp, self.c_exp, self.pi_uub, self.pi_mean)):
+            raise InvalidInputError("loss hyperparameters must be finite and non-negative")
+        n_art = self.n_art
+        if isinstance(n_art, bool) or not isinstance(n_art, numbers.Integral) or n_art < 1:
+            raise InvalidInputError(f"n_art must be a positive int, got {n_art!r}")
         if self.loss_variant not in LOSS_VARIANTS:
             raise InvalidInputError(f"unknown loss variant {self.loss_variant!r}")
 

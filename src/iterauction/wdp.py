@@ -35,7 +35,8 @@ class SolveBudget:
     time_limit_secs: float = 600.0
 
     def __post_init__(self):
-        if self.relative_gap < 0 or self.time_limit_secs <= 0:
+        # written so that NaN fails both checks
+        if not (self.relative_gap >= 0 and self.time_limit_secs > 0):
             raise InvalidInputError("gap must be >= 0 and time limit positive")
 
 

@@ -28,6 +28,20 @@ class TestCli:
         inst = ia.AuctionInstance.from_json(inst_path.read_text())
         assert abs(sol["welfare"] - inst.optimal_welfare) <= 1e-9
 
+    def test_solve_wdp_defaults_are_the_budget_defaults(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        main(["generate", "--n", "2", "--m", "4", "--seed", "3", "--out", str(inst_path)])
+        capsys.readouterr()
+        assert main(["solve-wdp", "--instance", str(inst_path)]) == 0
+        sol = json.loads(capsys.readouterr().out)
+        assert sol["proven_gap"] == ia.SolveBudget().relative_gap
+
+    def test_solve_wdp_rejects_a_nan_gap(self, tmp_path):
+        inst_path = tmp_path / "inst.json"
+        main(["generate", "--n", "2", "--m", "4", "--seed", "3", "--out", str(inst_path)])
+        with pytest.raises(ia.InvalidInputError, match="gap"):
+            main(["solve-wdp", "--instance", str(inst_path), "--relative-gap", "nan"])
+
     def test_train_emits_triple(self, tmp_path):
         reports = {"reports": [[[1, 1, 1], 1.0], [[1, 0, 0], 0.3], [[0, 1, 1], 0.6]]}
         rp = tmp_path / "reports.json"

@@ -17,7 +17,7 @@ from iterauction.mechanism import (
     run_mlca,
     vcg_payments,
 )
-from iterauction.mvnn import InitHyper, init_params
+from iterauction.mvnn import InitHyper, MvnnParams, init_params
 
 
 class TestInitialQueries:
@@ -77,32 +77,37 @@ class TestMarginalSchedule:
 
 class TestNextQuery:
     def test_query_avoids_excluded_bundles(self):
-        rng = np.random.default_rng(1)
         m = 4
         nets = {i: init_params([m, 4, 1], InitHyper(), seed=i) for i in range(2)}
         excluded = {tuple(np.zeros(m, dtype=int)), (1, 1, 1, 1)}
-        b = next_query(0, [0, 1], nets, m, excluded, ia.SolveBudget(relative_gap=0.0))
+        b = next_query(0, [0, 1], nets, excluded, ia.SolveBudget(relative_gap=0.0))
         assert tuple(b) not in excluded
         assert b.sum() > 0
 
-    def test_nets_of_unequal_width_are_evaluated_one_by_one(self):
-        # tied reported values drop a step from an exact bound, so the
-        # bidders' exact bounds differ in width and cannot be stacked
+    def test_tied_bounds_share_a_width_and_stack(self):
+        # a tied reported value is a zero-height step of an exact bound, kept
+        # with output weight 0, so both bidders' bounds have one width
         m = 4
         full, half = np.ones(m, dtype=int), np.array([1, 1, 0, 0])
         nets = [ia.build_exact_uub([(full, 2.0), (half, 2.0)]),
                 ia.build_exact_uub([(full, 2.0), (half, 1.0)])]
-        assert nets[0].layer_dims != nets[1].layer_dims
+        assert nets[0].layer_dims == nets[1].layer_dims == [m, 2, 2, 1]
+        assert MvnnParams.stack(nets).weights[-1].shape == (2, 1, 2)
         excluded = {(0,) * m, (1,) * m}
         budget = ia.SolveBudget(relative_gap=0.0)
-        b = next_query(0, [0, 1], nets, m, excluded, budget)
+        b = next_query(0, [0, 1], nets, excluded, budget)
         ref = ia.solve_wdp([net.forward for net in nets], m, budget, [excluded, None])
         assert b.tolist() == ref.allocation[0].tolist()
+
+    def test_nets_of_unequal_architecture_are_rejected(self):
+        nets = [init_params([3, 2, 1], InitHyper(), seed=0), init_params([3, 4, 1], InitHyper(), seed=1)]
+        with pytest.raises(ia.InvalidInputError, match="architecture"):
+            next_query(0, [0, 1], nets, {(0, 0, 0)}, ia.SolveBudget())
 
     def test_bidder_must_be_in_economy(self):
         nets = {i: init_params([3, 2, 1], InitHyper(), seed=i) for i in range(2)}
         with pytest.raises(ia.InvalidInputError):
-            next_query(0, [1], nets, 3, {(0, 0, 0)}, ia.SolveBudget())
+            next_query(0, [1], nets, {(0, 0, 0)}, ia.SolveBudget())
 
 
 class TestVcg:
@@ -272,6 +277,8 @@ class TestRunMlca:
         ({"train_hyper": {"cutoff_init_range": [0.1]}}, "cutoff_init_range"),
         ({"train_hyper": {"cutoff_init_range": ["a", 1]}}, "cutoff_init_range"),
         ({"train_hyper": {"cutoff_init_range": [0.1, 1.0, 2.0]}}, "cutoff_init_range"),
+        ({"budget": {"relative_gap": float("nan")}}, "gap"),
+        ({"budget": {"time_limit_secs": float("nan")}}, "time limit"),
     ])
     def test_config_json_rejects_malformed_values(self, obj, key):
         with pytest.raises(ia.InvalidInputError, match=key):

@@ -52,6 +52,29 @@ class TestParams:
         with pytest.raises(InvalidInputError):
             p.forward(x)
 
+    @pytest.mark.parametrize("where", ["weights", "biases", "cutoffs", "skip"])
+    def test_json_with_a_nan_parameter_is_rejected(self, where):
+        obj = init_params([3, 2, 1], InitHyper(), seed=0, skip=True).to_json_obj()
+        row = {"weights": obj["weights"][0][0], "biases": obj["biases"][0],
+               "cutoffs": obj["cutoffs"][0], "skip": obj["skip"]}[where]
+        row[0] = float("nan")
+        with pytest.raises(InvalidInputError):
+            MvnnParams.from_json_obj(obj)
+
+    @pytest.mark.parametrize("where", ["weights", "biases", "cutoffs", "skip"])
+    def test_stack_rejects_a_nan_parameter_edited_in_place(self, where):
+        nets = [init_params([3, 2, 1], InitHyper(), seed=s, skip=True) for s in range(2)]
+        arr = nets[1].skip if where == "skip" else getattr(nets[1], where)[0]
+        arr.flat[0] = np.nan
+        with pytest.raises(InvalidInputError):
+            MvnnParams.stack(nets)
+
+    def test_forward_rejects_a_nan_cutoff_edited_in_place(self):
+        p = init_params([3, 2, 1], InitHyper(), seed=1)
+        p.cutoffs[0][1] = np.nan
+        with pytest.raises(InvalidInputError):
+            p.forward(np.ones(3))
+
     def test_json_round_trip(self):
         p = init_params([4, 3, 1], InitHyper(), seed=2, skip=True)
         q = MvnnParams.from_json(p.to_json())
@@ -180,6 +203,21 @@ class TestInitialization:
         A, B, p = mixture_params(d, h)
         assert (A, p) == (0.0, 1.0)
         assert abs(B - 2 * h.m_k / d) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [
+        {"e_init": float("nan")},
+        {"e_init": float("inf")},
+        {"e_init": 0.0},
+        {"v_init": float("nan")},
+        {"b_init": float("nan")},
+        {"bias_init": float("nan")},
+        {"bias_init": -0.1},
+        {"eps_little": float("nan")},
+        {"eps_little": float("inf")},
+    ])
+    def test_hyper_rejects_values_that_break_the_mixture(self, bad):
+        with pytest.raises(InvalidInputError):
+            InitHyper(**bad)
 
     def test_generic_init_saturates_where_mixture_does_not(self):
         h = InitHyper(e_init=1.0, v_init=0.05, b_init=0.05, bias_init=0.05, eps_little=0.1)

@@ -4,10 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import iterauction as ia
 from iterauction.errors import InvalidInputError
-from iterauction.mvnn import InitHyper, init_params
+from iterauction.mechanism import next_query
+from iterauction.mvnn import InitHyper, MvnnParams, init_params
 from iterauction.training import TrainHyper
 from iterauction.uub import (
     LOSS_VARIANTS,
@@ -74,17 +76,26 @@ class TestExactUub:
         assert net.forward(np.array([1.0, 0.0])) == pytest.approx(0.5, abs=1e-12)
         assert net.forward(np.array([0.0, 1.0])) == pytest.approx(0.5, abs=1e-12)
 
-    def test_zero_height_steps_are_merged(self):
+    def test_zero_height_steps_carry_output_weight_zero(self):
         reports = [
             (np.array([1, 0, 0]), 0.5),
             (np.array([0, 1, 0]), 0.5),
             (np.array([1, 1, 1]), 1.0),
         ]
         net = build_exact_uub(reports)
-        # three first-layer rows (one per report), but only two output steps:
-        # 0 -> 0.5 and 0.5 -> 1.0
-        assert net.weights[0].shape[0] == 3
-        assert net.weights[1].shape[0] == 2
+        # one first-layer row and one step per report; the steps go
+        # 0 -> 0.5, 0.5 -> 0.5 (zero height) and 0.5 -> 1.0
+        assert net.layer_dims == [3, 3, 3, 1]
+        assert net.weights[2].tolist() == [[0.5, 0.0, 0.5]]
+        for x in itertools.product([0, 1], repeat=3):
+            assert net.forward(np.array(x, dtype=float)) == max_monotone_extension(reports, x)
+
+    def test_all_zero_reports_give_the_zero_network(self):
+        reports = [(np.array([1, 1]), 0.0), (np.array([0, 1]), 0.0)]
+        net = build_exact_uub(reports)
+        assert net.layer_dims == [2, 2, 2, 1]
+        assert not net.weights[2].any()
+        assert (net.forward(np.array([[0.0, 1.0], [1.0, 1.0], [0.3, 0.9]])) == 0.0).all()
 
     def test_requires_full_bundle(self):
         with pytest.raises(InvalidInputError):
@@ -94,6 +105,76 @@ class TestExactUub:
         rng = np.random.default_rng(5)
         net = build_exact_uub(random_reports(4, rng))
         net.validate()
+
+
+# a dyadic grid with 0, so reported values tie often and every sum is exact
+TIED_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def tied_report_sets(draw):
+    """Two bidders' report sets over m <= 6 items with values from a small
+    grid: each has the full bundle and the same number k of other nonempty
+    bundles, and may list the empty bundle at 0 too."""
+    m = draw(st.integers(2, 6))
+    others = [b for b in itertools.product([0, 1], repeat=m) if 0 < sum(b) < m]
+    k = draw(st.integers(0, min(6, len(others) - 1)))
+    sets = []
+    for _ in range(2):
+        bundles = [(1,) * m, *draw(st.permutations(others))[:k]]
+        reports = [(np.array(b), draw(TIED_VALUES)) for b in bundles]
+        if draw(st.booleans()):
+            reports.append((np.zeros(m, dtype=int), 0.0))
+        sets.append(reports)
+    return m, sets
+
+
+class TestTiedReports:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tied_report_sets())
+    def test_exact_bound_keeps_every_step(self, inst):
+        m, sets = inst
+        nets = [build_exact_uub(reports) for reports in sets]
+        for reports, net in zip(sets, nets):
+            width = sum(1 for b, _ in reports if b.any())
+            assert net.layer_dims == [m, width, width, 1]
+            for x in itertools.product([0, 1], repeat=m):
+                assert net.forward(np.array(x, dtype=float)) == max_monotone_extension(reports, x)
+
+        # equal report counts give one architecture, so the economy stacks
+        assert MvnnParams.stack(nets).layer_dims == nets[0].layer_dims
+        excluded = {(0,) * m} | {tuple(b) for b, _ in sets[0]}
+        budget = ia.SolveBudget(relative_gap=0.0)
+        solves = []
+        query = next_query(0, [0, 1], nets, excluded, budget, solves)
+        ref = ia.solve_wdp([net.forward for net in nets], m, budget, [excluded, None])
+        assert query.tolist() == ref.allocation[0].tolist()
+        assert solves[0].allocation.tolist() == ref.allocation.tolist()
+        assert solves[0].objective == ref.objective
+
+
+class TestNomuHyper:
+    @pytest.mark.parametrize("bad", [
+        {"mu_sqr": float("nan")},
+        {"mu_exp": float("nan")},  # would leave train_uub at its starting network
+        {"c_exp": float("nan")},
+        {"pi_uub": float("nan")},
+        {"pi_mean": float("nan")},
+        {"c_exp": float("inf")},
+        {"mu_exp": -0.1},
+        {"n_art": 2.5},
+        {"n_art": True},
+        {"n_art": 0},
+        {"loss_variant": "main"},
+    ])
+    def test_rejects_values_that_break_training(self, bad):
+        with pytest.raises(InvalidInputError):
+            NomuHyper(**bad)
+
+    def test_accepts_the_boundaries(self):
+        h = NomuHyper(mu_sqr=0.0, mu_exp=0.0, c_exp=0.0, pi_uub=0.0, pi_mean=0.0,
+                      n_art=np.int64(1))
+        assert h.n_art == 1
 
 
 class TestNomuLoss:

@@ -162,6 +162,21 @@ class TestBranchAndBound:
         best = brute_force_wdp(evs, m, exclusions=excl)
         assert best.objective <= sol.objective * (1 + sol.proven_gap) + 1e-9
 
+    @pytest.mark.parametrize("bad", [
+        {"relative_gap": float("nan")},  # would never prune, and report a NaN gap
+        {"relative_gap": -0.1},
+        {"time_limit_secs": float("nan")},  # would never time out
+        {"time_limit_secs": 0.0},
+    ])
+    def test_budget_rejects_nan_and_out_of_range_values(self, bad):
+        with pytest.raises(InvalidInputError):
+            SolveBudget(**bad)
+
+    def test_budget_accepts_infinite_values(self):
+        budget = SolveBudget(relative_gap=math.inf, time_limit_secs=math.inf)
+        sol = solve_wdp(MvnnParams.stack(random_nets(2, 3, np.random.default_rng(0))), 3, budget=budget)
+        assert sol.status == "gap_limit"
+
     def test_no_items_rejected(self):
         with pytest.raises(InvalidInputError, match="at least one item"):
             solve_wdp([lambda X: np.zeros(len(X))], 0)
