@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -77,10 +78,10 @@ def _cmd_solve_wdp(args) -> int:
         "allocation": sol.allocation.tolist(),
         "welfare": sol.objective,
         "status": sol.status,
-        "proven_gap": sol.proven_gap,
+        "proven_gap": sol.proven_gap if math.isfinite(sol.proven_gap) else None,
         "nodes": sol.nodes,
     }
-    _write_or_print(json.dumps(out, indent=2, sort_keys=True), args.out)
+    _write_or_print(json.dumps(out, indent=2, sort_keys=True, allow_nan=False), args.out)
     return 0
 
 
@@ -158,7 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=True)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("solve-wdp", help="winner determination on an instance file")
+    p = sub.add_parser(
+        "solve-wdp", help="winner determination on an instance file",
+        description="Branch and bound on an instance file's value models. Writes one JSON "
+                    "object: allocation, welfare, status, proven_gap and nodes; proven_gap "
+                    "is null when no finite gap is proven (for example with --relative-gap inf).")
     p.add_argument("--instance", type=str, required=True)
     p.add_argument("--relative-gap", type=float, default=SolveBudget.relative_gap)
     p.add_argument("--time-limit-secs", type=float, default=SolveBudget.time_limit_secs)

@@ -36,6 +36,21 @@ class TestCli:
         sol = json.loads(capsys.readouterr().out)
         assert sol["proven_gap"] == ia.SolveBudget().relative_gap
 
+    def test_solve_wdp_prints_strict_json_for_an_infinite_gap(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        main(["generate", "--n", "2", "--m", "4", "--seed", "3", "--out", str(inst_path)])
+        capsys.readouterr()
+        assert main(["solve-wdp", "--instance", str(inst_path), "--relative-gap", "inf"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        sol = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert (sol["status"], sol["proven_gap"]) == ("gap_limit", None)
+        with pytest.raises(SystemExit):
+            main(["solve-wdp", "--help"])
+        assert "proven_gap is null" in " ".join(capsys.readouterr().out.split())
+
     def test_solve_wdp_rejects_a_nan_gap(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         main(["generate", "--n", "2", "--m", "4", "--seed", "3", "--out", str(inst_path)])

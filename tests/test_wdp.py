@@ -3,6 +3,7 @@
 import itertools
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,24 +90,32 @@ class TestBranchAndBound:
         assert approx.objective >= exact.objective / 1.05 - 1e-9
         assert approx.status == "gap_limit"
 
-    def test_at_most_n_evaluator_calls_per_internal_node(self):
-        # n calls to rank the items by single-item value, then one 2-row
-        # batch per bidder per internal node; leaves reuse their bound
+    def test_one_batch_per_internal_node_holds_the_pair_rows(self, monkeypatch):
+        # per bidder, one call per internal node on the rows S_i | U, then
+        # S_i | U - {k} for each undecided k, then S_i | U - {k, l} for each
+        # undecided pair; no call at a leaf and no ranking call
         n, m = 3, 6
         nets = random_nets(n, m, np.random.default_rng(5), hidden=(10,))
         calls = []
 
-        def counted(net):
+        def counted(i, net):
             def ev(X):
-                calls.append(len(X))
+                calls.append((i, np.array(X)))
                 return net.forward(X)
             return ev
 
-        sol = solve_wdp([counted(p) for p in nets], m, budget=SolveBudget(relative_gap=0.0))
-        assert calls[:n] == [m] * n
-        assert all(rows == 2 for rows in calls[n:])
-        # the root is internal and at least one node is a leaf
-        assert len(calls) <= n * (sol.nodes - 1) + n
+        leaves = count_leaves(monkeypatch)
+        sol = solve_wdp([counted(i, p) for i, p in enumerate(nets)], m,
+                        budget=SolveBudget(relative_gap=0.0))
+        assert [i for i, _ in calls] == list(range(n)) * (len(calls) // n)
+        assert len(calls) // n == sol.nodes - len(leaves)
+        assert calls[0][1].shape == (1 + m + m * (m - 1) // 2, m)  # the root's rows
+        for node in range(len(calls) // n):
+            removed = None
+            for _, X in calls[node * n : (node + 1) * n]:
+                undecided, drops = node_layout(X)
+                assert removed is None or (undecided, drops) == removed
+                removed = (undecided, drops)
         bf = brute_force_wdp([p.forward for p in nets], m)
         assert sol.allocation.tolist() == bf.allocation.tolist()
 
@@ -177,6 +186,10 @@ class TestBranchAndBound:
         sol = solve_wdp(MvnnParams.stack(random_nets(2, 3, np.random.default_rng(0))), 3, budget=budget)
         assert sol.status == "gap_limit"
 
+    def test_no_bidders_leave_every_item_unassigned(self):
+        sol = solve_wdp([], 3, budget=SolveBudget(relative_gap=0.0))
+        assert sol.allocation.shape == (0, 3) and sol.objective == 0.0
+
     def test_no_items_rejected(self):
         with pytest.raises(InvalidInputError, match="at least one item"):
             solve_wdp([lambda X: np.zeros(len(X))], 0)
@@ -187,26 +200,56 @@ def same_solution(a, b) -> bool:
             and (a.status, a.proven_gap, a.nodes) == (b.status, b.proven_gap, b.nodes))
 
 
+def count_leaves(monkeypatch) -> list:
+    """Patch the incumbent test, which B&B runs once per leaf whose
+    bundles no exclusion rules out; the returned list grows by one each."""
+    leaves, better = [], wdp._better
+
+    def counted(*args):
+        leaves.append(None)
+        return better(*args)
+
+    monkeypatch.setattr(wdp, "_better", counted)
+    return leaves
+
+
+def node_layout(X: np.ndarray):
+    """Check one bidder's rows of a node batch against the pair-row layout
+    and return its undecided items and the items each row removes."""
+    X = np.asarray(X)
+    drops = [tuple(np.flatnonzero(X[0] - row)) for row in X]
+    assert ((X[0] - X) >= 0).all()  # every row is inside S_i | U
+    undecided = [k for (k,) in drops[1 : 1 + sum(len(d) == 1 for d in drops)]]
+    u = len(undecided)
+    assert len(X) == 1 + u + u * (u - 1) // 2
+    assert drops == [()] + [(k,) for k in undecided] + list(itertools.combinations(undecided, 2))
+    return undecided, drops
+
+
 class TestStackedEvaluation:
     def test_one_forward_call_per_internal_node(self, monkeypatch):
-        # one call on the n single-item rows of every bidder, then one
-        # (n, 2, m) call per internal node; leaves reuse their bound
+        # one (n, 1 + u + u(u-1)/2, m) call per internal node, u undecided
+        # items; none at a leaf and no ranking call
         n, m = 3, 6
         nets = random_nets(n, m, np.random.default_rng(5), hidden=(10,))
         ref = solve_wdp([p.forward for p in nets], m, budget=SolveBudget(relative_gap=0.0))
-        shapes = []
+        batches = []
         forward = MvnnParams.forward
 
         def counted(self, X):
-            shapes.append(np.shape(X))
+            batches.append(np.array(X))
             return forward(self, X)
 
         monkeypatch.setattr(MvnnParams, "forward", counted)
+        leaves = count_leaves(monkeypatch)
         sol = solve_wdp(MvnnParams.stack(nets), m, budget=SolveBudget(relative_gap=0.0))
-        assert shapes[0] == (n, m, m)
-        assert all(shape == (n, 2, m) for shape in shapes[1:])
-        assert len(shapes) <= sol.nodes  # 1 + internal nodes, and at least one node is a leaf
+        assert len(batches) == sol.nodes - len(leaves)
+        assert batches[0].shape == (n, 1 + m + m * (m - 1) // 2, m)  # the root's rows
+        for X in batches:
+            assert X.shape[0] == n
+            assert len({repr(node_layout(rows)) for rows in X}) == 1  # one layout for every bidder
         assert same_solution(sol, ref)
+        assert sol.allocation.tolist() == brute_force_wdp([p.forward for p in nets], m).allocation.tolist()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_stack_and_list_give_the_same_solution(self, seed):
@@ -279,6 +322,53 @@ class TestBackendsAgree:
             stacked = solve_wdp(MvnnParams.stack(nets), m, budget=SolveBudget(relative_gap=0.0),
                                 exclusions=excl)
             assert same_solution(stacked, nb)
+
+
+@st.composite
+def tied_wdp_instances(draw):
+    """Economies of one architecture whose small cutoffs saturate most
+    neurons, so that many bundles and allocations tie."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 7))
+    hidden = draw(st.sampled_from([(3,), (6,), (4, 4)]))
+    cutoffs = draw(st.sampled_from([(0.01, 0.05), (0.02, 0.3)]))
+    skip = draw(st.booleans())
+    nets = [init_params([m, *hidden, 1], InitHyper(), cutoffs, seed=draw(st.integers(0, 10**6)), skip=skip)
+            for _ in range(n)]
+    bundles = st.tuples(*[st.integers(0, 1)] * m)
+    exclusions = [
+        {(0,) * m} | draw(st.sets(bundles, max_size=4)) if draw(st.booleans()) else None
+        for _ in range(n)
+    ]
+    return nets, m, exclusions
+
+
+class TestAgainstBruteForceOnTies:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tied_wdp_instances(), st.sampled_from([0.01, 0.1, 0.5]), st.integers(1, 40))
+    def test_exact_gap_and_time_limited_solves(self, inst, gap, k):
+        nets, m, excl = inst
+        listed = [p.forward for p in nets]
+        try:
+            best = brute_force_wdp(listed, m, exclusions=excl)
+        except InvalidInputError:  # the exclusions leave no assignment
+            return
+        for evaluators in (MvnnParams.stack(nets), listed):
+            exact = solve_wdp(evaluators, m, budget=SolveBudget(relative_gap=0.0), exclusions=excl)
+            assert exact.allocation.tolist() == best.allocation.tolist()
+            assert exact.objective == pytest.approx(best.objective, abs=1e-9)
+            approx = solve_wdp(evaluators, m, budget=SolveBudget(relative_gap=gap), exclusions=excl)
+            assert approx.objective >= best.objective / (1 + gap)
+            # one tick per clock read, as in test_time_limit_after_k_nodes
+            ticks = itertools.count()
+            with mock.patch.object(wdp, "time", SimpleNamespace(monotonic=lambda: float(next(ticks)))):
+                limited = solve_wdp(evaluators, m, exclusions=excl,
+                                    budget=SolveBudget(relative_gap=0.0, time_limit_secs=k + 0.5))
+            assert limited.status in ("optimal", "time_limit")
+            assert limited.objective * (1 + limited.proven_gap) >= best.objective - 1e-9
+            assert (limited.allocation.sum(axis=0) <= 1).all()
+            for i, bundles in enumerate(excl):
+                assert bundles is None or tuple(limited.allocation[i]) not in bundles
 
 
 class TestMilpEncoding:
