@@ -169,9 +169,9 @@ def forward_cache(params: MvnnParams, X: np.ndarray, blocks: tuple[int, ...] | N
     ``MvnnParams.forward`` it does not check the cutoffs.  Working in place
     saves two temporaries per layer on the B&B's hot path.
 
-    ``blocks``, used by training only, splits a single net's batch into
-    consecutive row blocks of these sizes.  The result equals one call per
-    block, bit for bit, by two row rules of OpenBLAS:
+    ``blocks``, used by training only, splits the batch into consecutive
+    row blocks of these sizes.  The result equals one call per block, bit
+    for bit, by two row rules of OpenBLAS:
 
     - a gemm row has the same bits wherever it sits in the batch, so a
       hidden layer's product runs once over all rows;
@@ -179,6 +179,11 @@ def forward_cache(params: MvnnParams, X: np.ndarray, blocks: tuple[int, ...] | N
       once per block.  A one-row block makes its hidden products gemv too,
       and a fan-in of 32 or more can take the small-matrix kernel, so such
       products also run per block.
+
+    The rules hold per net of a stack too: numpy's matmul runs one BLAS
+    call per net, so a stack of n nets on a shared batch (B, m), with
+    ``blocks``, equals one blocked call per net.  Training scores a fit's
+    every epoch so, as a stack of its epochs' nets.
 
     Threading: OpenBLAS runs a gemm of more than about 2^19 multiply-adds
     (rows x fan-in x width) on a second thread, which then spins between
@@ -211,8 +216,9 @@ def _row_spans(blocks: tuple[int, ...]) -> list[slice]:
 
 
 def _per_block(a: np.ndarray, B: np.ndarray, blocks: tuple[int, ...]) -> np.ndarray:
-    """``a @ B`` as one product per row block of ``a``."""
-    return np.concatenate([a[s] @ B for s in _row_spans(blocks)])
+    """``a @ B`` as one product per row block of ``a``, rows being axis -2,
+    so that ``a`` or ``B`` may carry a leading stack axis."""
+    return np.concatenate([a[..., s, :] @ B for s in _row_spans(blocks)], axis=-2)
 
 
 # ---------------------------------------------------------------------------

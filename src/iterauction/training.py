@@ -52,10 +52,11 @@ class TrainHyper:
         self.cutoff_init_range = (lo, hi)
 
 
-def _sum(a: np.ndarray) -> float:
-    """``float(a.sum())`` without numpy's Python-level wrapper (the same
-    pairwise sum); divided by the length, it is ``float(a.mean())`` too."""
-    return float(np.add.reduce(a, axis=None))
+def _sum(a: np.ndarray):
+    """The sum along the last axis, without numpy's Python-level wrapper: a
+    vector's is ``a.sum()`` (the same pairwise sum; divided by the length,
+    ``a.mean()`` too), and a matrix's is that sum of each row, bit for bit."""
+    return np.add.reduce(a, axis=-1)
 
 
 def smooth_l1(x, y, beta: float):
@@ -114,8 +115,11 @@ class _Layout:
         self.array_spans = [(a, z) for k in (0, 2, 3, 1) for a, z, _ in self.groups[k]]
 
     def views(self, flat: np.ndarray):
-        """(weights, skip, biases, cutoffs) as views of ``flat``."""
-        w, s, b, c = ([flat[a:z].reshape(shape) for a, z, shape in g] for g in self.groups)
+        """(weights, skip, biases, cutoffs) as views of ``flat``; of a
+        matrix, one vector per row, as a stack along a leading axis."""
+        lead = flat.shape[:-1]
+        w, s, b, c = ([flat[..., a:z].reshape(*lead, *shape) for a, z, shape in g]
+                      for g in self.groups)
         return w, s[0] if s else None, b, c
 
 
@@ -126,6 +130,13 @@ def _layout_of(params: MvnnParams) -> _Layout:
     return _layout(tuple(W.shape for W in params.weights), params.skip is not None)
 
 
+def _net(layout: _Layout, flat: np.ndarray) -> MvnnParams:
+    """The network whose arrays view ``flat``; of an (E, P) matrix, the
+    stack of its rows' networks, as ``MvnnParams.stack`` lays it out."""
+    weights, skip, biases, cutoffs = layout.views(flat)
+    return MvnnParams(weights=weights, biases=biases, cutoffs=cutoffs, skip=skip)
+
+
 class Grads:
     """Parameter gradients: ``weights``, ``biases``, ``cutoffs`` and ``skip``
     are views of the one buffer ``flat`` (see ``_Layout``)."""
@@ -134,10 +145,18 @@ class Grads:
         self.layout = layout
         self.flat = np.zeros(layout.size)
         self.weights, self.skip, self.biases, self.cutoffs = layout.views(self.flat)
+        self._spares: list[Grads] = []
 
     @classmethod
     def zeros_like(cls, params: MvnnParams) -> "Grads":
         return cls(_layout_of(params))
+
+    def spares(self, k: int) -> list["Grads"]:
+        """k more buffers of this layout, made on first use and then reused:
+        ``_backward``'s scratch for its later row blocks."""
+        while len(self._spares) < k:
+            self._spares.append(Grads(self.layout))
+        return self._spares[:k]
 
     def arrays(self):
         return self.weights + self.biases + self.cutoffs + _optional(self.skip)
@@ -155,9 +174,10 @@ def _backward(g: Grads, params: MvnnParams, X, O, Z, out_grad, blocks=None) -> N
     With ``blocks`` (as in ``forward_cache``) every row sum and product runs
     once per block, and ``g`` is the first block's gradients with each later
     block's added in order: bit for bit the sum of one call per block.  The
+    later blocks write into ``g.spares``, every entry through ``out=``.  The
     elementwise work runs once over all rows."""
     spans = [slice(None)] if blocks is None else _row_spans(blocks)
-    parts = list(zip(spans, [g] + [Grads(g.layout) for _ in spans[1:]]))
+    parts = list(zip(spans, [g] + g.spares(len(spans) - 1)))
     for s, d in parts:
         np.matmul(out_grad[s], Z[-1][s], out=d.weights[-1][0])
         if params.skip is not None:
@@ -302,12 +322,14 @@ def _epoch_draws(rng: np.random.Generator, epochs: int, n: int, art_shape=None):
     return perms, arts
 
 
-def _train_loop(params: MvnnParams, hyper: TrainHyper, batches, batch_grads, score):
+def _train_loop(params: MvnnParams, hyper: TrainHyper, batches, batch_grads) -> np.ndarray:
     """One full-batch Adam step per item of ``batches``, one item per epoch;
-    returns the parameters and score of the epoch (the start counting as
-    epoch 0) with the lowest ``score(params)``.  ``batch_grads(g, params,
-    *batch)`` writes into ``g`` the data-loss gradients of that epoch's
-    batch; ``Adam.step`` adds the L2 term.
+    returns every epoch's flat parameters (``_Layout`` order) as an
+    (epochs + 1, P) matrix whose row 0 is the start.  It only optimises:
+    the caller scores the rows and keeps the best with ``_best_epoch``,
+    and ``_net`` views the matrix as a stack of the epochs' networks.
+    ``batch_grads(g, params, *batch)`` writes into ``g`` the data-loss
+    gradients of that epoch's batch; ``Adam.step`` adds the L2 term.
 
     Draw order: the loop draws nothing.  Each batch carries its epoch's
     draws from ``_epoch_draws``, made before the loop: the reports in a
@@ -318,17 +340,22 @@ def _train_loop(params: MvnnParams, hyper: TrainHyper, batches, batch_grads, sco
     """
     opt = Adam(params, hyper)
     g = Grads.zeros_like(params)
-    best = opt.theta.copy()  # the best epoch's flat vector; the network is built once, at the end
-    best_loss = score(params)
+    thetas = [opt.theta.copy()]
     for batch in batches:
         batch_grads(g, params, *batch)
         opt.step(g)
-        cur = score(params)
-        if cur < best_loss:
-            best_loss = cur
-            np.copyto(best, opt.theta)
-    weights, skip, biases, cutoffs = opt.layout.views(best)
-    return MvnnParams(weights=weights, biases=biases, cutoffs=cutoffs, skip=skip), best_loss
+        thetas.append(opt.theta.copy())
+    return np.stack(thetas)
+
+
+def _best_epoch(scores) -> int:
+    """The first epoch with the strictly lowest score, compared in order as
+    ``score < best``: a NaN start keeps epoch 0, and a later NaN never wins."""
+    best = 0
+    for e in range(1, len(scores)):
+        if scores[e] < scores[best]:
+            best = e
+    return best
 
 
 def train_mean(
@@ -342,7 +369,8 @@ def train_mean(
     """Fit a monotone mean network to one bidder's reports.
 
     Keeps the best epoch by training MAE and retrains once from a fresh seed
-    when the training R^2 ends below the configured threshold.
+    when the training R^2 ends below the configured threshold.  Each
+    epoch's MAE takes one ``MvnnParams.forward`` after the loop.
     """
     if not reports:
         raise InvalidInputError("cannot train on an empty report list")
@@ -359,7 +387,17 @@ def train_mean(
         )
         perms, _ = _epoch_draws(rng, train_hyper.epochs, X.shape[0])
         batch_grads = functools.partial(_mean_data_grads, hyper=train_hyper)
-        return _train_loop(params, train_hyper, zip(X[perms], y[perms]), batch_grads, train_mae)
+        thetas = _train_loop(params, train_hyper, zip(X[perms], y[perms]), batch_grads)
+        # one net whose arrays view a row buffer, refilled per epoch:
+        # building and validating a net per epoch costs more than its forward
+        layout, row = _layout_of(params), thetas[0].copy()
+        net = _net(layout, row)
+        maes = []
+        for theta in thetas:
+            np.copyto(row, theta)
+            maes.append(train_mae(net))
+        e = _best_epoch(maes)
+        return _net(layout, thetas[e].copy()), maes[e]
 
     best, best_mae = attempt(seed)
     if r_squared(best.forward(X), y) < train_hyper.retrain_r2_threshold:

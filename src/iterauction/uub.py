@@ -25,10 +25,13 @@ from .training import (
     TrainHyper,
     _add_l2,
     _backward,
+    _best_epoch,
     _epoch_draws,
     _huber,
     _huber_slope,
     _l2_penalty,
+    _layout_of,
+    _net,
     _regularised,
     _sum,
     _train_loop,
@@ -157,8 +160,9 @@ def _loss_terms(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta:
     """Each loss term as (value, d/d out_tr, d/d out_art), in summation
     order.  A gradient is 0.0 where the term does not depend on that
     output; every gradient is 0.0 when ``grads`` is false, and every value
-    0.0 when ``values`` is false."""
-    n_art = out_art.shape[0]
+    0.0 when ``values`` is false.  Outputs with a leading stack axis, (E, n)
+    and (E, n_art), give each value as (E,): sums run along the last axis."""
+    n_art = out_art.shape[-1]
 
     def hinge(excess, pi, sign):
         # soft penalty on the positive part of `excess`; d excess/d out_art = sign
@@ -200,42 +204,34 @@ def nomu_loss_terms(uub_net: MvnnParams, mean_net: MvnnParams, exact_net: MvnnPa
     Keys: ``data`` (fit through the reports), ``push_up`` (raise the bound
     where it is still below the exact bound), ``below_exact`` and
     ``above_mean`` (soft sandwich penalties), and in the detailed variant
-    ``stability`` (asymmetric data penalty).
+    ``stability`` (asymmetric data penalty).  For a stack of E learned
+    bounds (``MvnnParams.stack``) each value is an (E,) array, bit for bit
+    the values of one call per net.
     """
     if X.shape[0] == 0:
         raise InvalidInputError("empty training batch")
-    return _frozen_terms(mean_net, exact_net, X, y, X_art, hyper, beta)(uub_net)
+    terms = _nomu_pass(uub_net, np.concatenate([X, X_art]), X.shape[0], y,
+                       mean_net.forward(X_art), exact_net.forward(X_art), hyper, beta)
+    return {name: value for name, (value, _, _) in terms.items()}
 
 
 def nomu_loss(
     uub_net, mean_net, exact_net, X, y, X_art, hyper: NomuHyper, beta: float
-) -> float:
+) -> float | np.ndarray:
+    """The terms' sum in term order, without L2; per net for a stack."""
     return sum(nomu_loss_terms(uub_net, mean_net, exact_net, X, y, X_art, hyper, beta).values())
-
-
-def _frozen_terms(mean_net, exact_net, X, y, X_art, hyper: NomuHyper, beta: float):
-    """``nomu_loss_terms`` as a function of the learned bound alone; the
-    frozen networks are evaluated on ``X_art``, and the reports and
-    ``X_art`` stacked into one batch, once, here."""
-    mean_art, exact_art = mean_net.forward(X_art), exact_net.forward(X_art)
-    XA = np.concatenate([X, X_art])
-
-    def terms(uub_net: MvnnParams) -> dict[str, float]:
-        t = _nomu_pass(uub_net, XA, X.shape[0], y, mean_art, exact_art, hyper, beta)
-        return {name: value for name, (value, _, _) in t.items()}
-
-    return terms
 
 
 def _nomu_pass(uub_net, XA, n, y, mean_art, exact_art, hyper: NomuHyper, beta: float,
                g: Grads | None = None, values: bool = True, only_term: str | None = None) -> dict:
     """The loss terms of ``uub_net`` on ``XA``, the n reports followed by
     the artificial points, from one forward pass, as ``_loss_terms`` gives
-    them.  With ``g``, also write into it the gradients of the loss without
-    L2 (of ``only_term`` alone if given)."""
-    blocks = (n, XA.shape[0] - n)
+    them; of a stack of nets on a shared ``XA``, each value per net.  With
+    ``g`` (a single net only), also write into it the gradients of the loss
+    without L2 (of ``only_term`` alone if given)."""
+    blocks = (n, XA.shape[-2] - n)
     out, O, Z = forward_cache(uub_net, XA, blocks)
-    terms = _loss_terms(out[:n], out[n:], y, mean_art, exact_art, hyper, beta,
+    terms = _loss_terms(out[..., :n], out[..., n:], y, mean_art, exact_art, hyper, beta,
                         grads=g is not None, values=values)
     if g is not None:
         gout = np.zeros_like(out)
@@ -300,9 +296,14 @@ def train_uub(reports: list[tuple[np.ndarray, float]], mean_net: MvnnParams, exa
     before the first epoch, so the frozen networks are evaluated once per
     fit on every epoch's points, in calls that keep OpenBLAS on one thread
     (a second one would spin for the rest of the fit).  Each epoch is then
-    one forward pass over [permuted reports; its points], and each score
-    one over [reports; scoring sample]; ``forward_cache``'s row rules keep
-    every output bit for bit what separate calls per block give.
+    one forward pass over [permuted reports; its points].
+
+    Scoring comes after the loop: the epochs' networks, start included,
+    form one stack, scored in one forward pass over [reports; scoring
+    sample] against the frozen networks' outputs on that sample (one
+    ``forward`` each per fit).  ``forward_cache``'s row rules and per-row
+    sums keep every score bit for bit what one ``nomu_loss`` per epoch
+    gives, and ``_best_epoch`` keeps the first lowest.
     """
     if not reports:
         raise InvalidInputError("cannot train on an empty report list")
@@ -324,8 +325,7 @@ def train_uub(reports: list[tuple[np.ndarray, float]], mean_net: MvnnParams, exa
     def batch_grads(g, p, xa, yb, mean_art, exact_art):
         _nomu_pass(p, xa, n, yb, mean_art, exact_art, nomu_hyper, beta, g=g, values=False)
 
-    eval_terms = _frozen_terms(mean_net, exact_net, X, y, X_eval, nomu_hyper, beta)
-    best, _ = _train_loop(params, train_hyper, batches, batch_grads,
-                          lambda p: sum(eval_terms(p).values()))
-    best.validate()
-    return best
+    thetas = _train_loop(params, train_hyper, batches, batch_grads)
+    layout = _layout_of(params)
+    scores = nomu_loss(_net(layout, thetas), mean_net, exact_net, X, y, X_eval, nomu_hyper, beta)
+    return _net(layout, thetas[_best_epoch(scores)].copy())

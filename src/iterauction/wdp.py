@@ -121,7 +121,7 @@ def brute_force_wdp(evaluators, m: int, exclusions=None) -> WdpSolution:
             continue
         cutoff = welfare.max() if best_w is None else max(welfare.max(), best_w)
         for idx in np.flatnonzero(welfare >= cutoff - WELFARE_TIE_TOL):
-            alloc = np.stack([b[idx] for b in bundles]).astype(np.int64)
+            alloc = np.array([b[idx] for b in bundles], dtype=np.int64).reshape(n, m)
             flat = alloc.ravel()
             if _better(welfare[idx], flat, best_w, None if best_alloc is None else best_alloc.ravel()):
                 best_w, best_alloc = float(welfare[idx]), alloc

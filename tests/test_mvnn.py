@@ -15,6 +15,7 @@ from iterauction.mvnn import (
     random_containment_pair,
     sample_mixture,
 )
+from iterauction.training import _layout_of, _net
 
 
 class TestParams:
@@ -180,6 +181,34 @@ class TestBlockedForward:
                 assert got[rows].tobytes() == ref.tobytes()
             start += size
         assert start == X.shape[0] == out.shape[0]
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("dims", [[5, 10, 10, 1], [8, 3, 1], [40, 10, 1], [8, 40, 36, 1]])
+    @pytest.mark.parametrize("blocks", [(1, 64), (2, 64), (7, 128), (1, 1, 2), (64,) * 3])
+    def test_epoch_stack_equals_one_call_per_net_and_block(self, skip, dims, blocks):
+        # training scores a fit's epochs as one stack: views of an (E, P)
+        # matrix of flat parameter vectors, on a batch shared by every net
+        rng = np.random.default_rng(sum(blocks) + len(dims))
+        nets = [init_params(dims, InitHyper(), (0.1, 1.0), seed=s, skip=skip) for s in range(6)]
+        flats = np.stack([np.concatenate([a.ravel() for a in net.weights
+                                          + ([net.skip] if skip else []) + net.biases
+                                          + net.cutoffs]) for net in nets])
+        stack = _net(_layout_of(nets[0]), flats)
+        assert np.shares_memory(stack.weights[0], flats)
+        m = dims[0]
+        X = np.concatenate([(rng.random((blocks[0], m)) < 0.5).astype(float),
+                            rng.random((sum(blocks[1:]), m))])
+        out, O, Z = forward_cache(stack, X, blocks)
+        assert out.shape == (len(nets), X.shape[0]) and Z[0] is X
+        for e, net in enumerate(nets):
+            start = 0
+            for size in blocks:
+                rows = slice(start, start + size)
+                ref_out, ref_O, ref_Z = forward_cache(net, X[rows].copy())
+                assert out[e, rows].tobytes() == ref_out.tobytes()
+                for got, ref in zip(O + Z[1:], ref_O + ref_Z[1:]):
+                    assert got[e, rows].tobytes() == ref.tobytes()
+                start += size
 
 
 class TestInitialization:

@@ -6,13 +6,23 @@ import numpy as np
 import pytest
 
 from iterauction.errors import InvalidInputError
-from iterauction.mvnn import InitHyper, init_params, random_containment_pair
+from iterauction.mvnn import (
+    InitHyper,
+    MvnnParams,
+    forward_cache,
+    init_params,
+    random_containment_pair,
+)
 from iterauction.training import (
     Adam,
     Grads,
     TrainHyper,
+    _backward,
+    _best_epoch,
     _epoch_draws,
+    _layout_of,
     _mean_data_grads,
+    _net,
     _train_loop,
     mean_loss_and_grads,
     r_squared,
@@ -180,6 +190,36 @@ class TestFlatLayout:
         p.validate()
 
     @pytest.mark.parametrize("skip", [False, True])
+    def test_matrix_views_are_the_stack_of_its_rows(self, skip):
+        nets = [init_params([5, 4, 3, 1], InitHyper(), (0.1, 1.0), seed=s, skip=skip)
+                for s in range(4)]
+        flats = np.stack([Adam(net.copy(), TrainHyper()).theta for net in nets])
+        layout = _layout_of(nets[0])
+        stack = _net(layout, flats)
+        assert all(np.shares_memory(a, flats) for a in param_arrays(stack))
+        assert param_bytes(stack) == param_bytes(MvnnParams.stack(nets))
+        for flat, net in zip(flats, nets):
+            assert _net(layout, flat).to_json() == net.to_json()
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_backward_overwrites_its_reused_scratch(self, skip):
+        # the buffers of the later blocks stay on g from call to call; what
+        # they held before must not reach the gradient
+        p = init_params([5, 4, 3, 1], InitHyper(), (0.1, 1.0), seed=5, skip=skip)
+        X = np.random.default_rng(6).random((9, 5))
+        blocks = (2, 3, 4)
+        _, O, Z = forward_cache(p, X, blocks)
+        out_grad = np.linspace(-1.0, 1.0, 9)
+        fresh, reused = Grads.zeros_like(p), Grads.zeros_like(p)
+        spares = reused.spares(2)
+        for spare in spares:
+            spare.flat[:] = np.nan
+        _backward(fresh, p, X, O, Z, out_grad, blocks)
+        _backward(reused, p, X, O, Z, out_grad, blocks)
+        assert reused.flat.tobytes() == fresh.flat.tobytes()
+        assert all(a is b for a, b in zip(reused.spares(2), spares))
+
+    @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("trainable_cutoffs", [False, True])
     def test_step_equals_per_array_reference(self, skip, trainable_cutoffs):
         hyper = TrainHyper(learning_rate=0.05, l2_lambda=1e-3, clip_grad_norm=1.0,
@@ -238,30 +278,51 @@ class TestTrainMean:
 
     def test_best_epoch_is_kept_while_training_continues(self):
         # a score that is lowest after epoch 3: training on to epoch 8 must
-        # return the network of epoch 3, as stopping there does
+        # keep the network of epoch 3, as stopping there does
         reports = self._reports(3)
         X = np.stack([b for b, _ in reports]).astype(float)
         y = np.array([v for _, v in reports])
 
         def fit(epochs):
-            scores = iter([3, 2, 1, 0, 1, 2, 3, 4, 5])
             rng = np.random.default_rng(0)
             params = init_params([5, 6, 1], InitHyper(), (0.1, 1.0), rng)
             perms, _ = _epoch_draws(rng, epochs, len(y))
             grads = functools.partial(_mean_data_grads, hyper=TrainHyper(epochs=epochs))
-            best, score = _train_loop(params, TrainHyper(epochs=epochs), zip(X[perms], y[perms]),
-                                      grads, lambda p: next(scores))
-            assert score == 0
-            assert not any(np.shares_memory(a, b) for a in best.weights for b in params.weights)
-            return best
+            thetas = _train_loop(params, TrainHyper(epochs=epochs), zip(X[perms], y[perms]), grads)
+            assert thetas.shape == (epochs + 1, _layout_of(params).size)
+            assert not any(np.shares_memory(thetas, a) for a in param_arrays(params))
+            return thetas, _layout_of(params)
 
-        assert fit(8).to_json() == fit(3).to_json()
+        (long, layout), (short, _) = fit(8), fit(3)
+        start = init_params([5, 6, 1], InitHyper(), (0.1, 1.0), np.random.default_rng(0))
+        assert _net(layout, long[0]).to_json() == start.to_json()
+        best = _best_epoch([3, 2, 1, 0, 1, 2, 3, 4, 5])
+        assert best == 3
+        assert _net(layout, long[best]).to_json() == _net(layout, short[-1]).to_json()
 
     def test_deterministic_given_seed(self):
         reports = self._reports(2)
         a = train_mean(reports, [5, 6, 1], InitHyper(), TrainHyper(epochs=20), seed=7)
         b = train_mean(reports, [5, 6, 1], InitHyper(), TrainHyper(epochs=20), seed=7)
         assert a.to_json() == b.to_json()
+
+
+nan, inf = float("nan"), float("inf")
+
+
+class TestBestEpoch:
+    @pytest.mark.parametrize("scores, best", [
+        ([3.0, 2.0, 1.0, 0.0, 1.0], 3),
+        ([1.0, 0.5, 0.7, 0.5], 1),  # a tie keeps the first
+        ([0.0, -0.0, 0.0], 0),  # so do signed zeros
+        ([nan, 1.0, 0.0], 0),  # nothing beats a NaN start
+        ([1.0, nan, 0.5, nan, 0.7], 2),  # a later NaN never wins
+        ([inf, 2.0, -inf, -inf], 2),
+        ([2.0], 0),
+    ])
+    def test_first_strictly_lowest(self, scores, best):
+        assert _best_epoch(scores) == best
+        assert _best_epoch(np.array(scores)) == best
 
 
 class TestTrainHyper:

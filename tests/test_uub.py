@@ -10,12 +10,19 @@ import iterauction as ia
 from iterauction.errors import InvalidInputError
 from iterauction.mechanism import next_query
 from iterauction.mvnn import InitHyper, MvnnParams, init_params
-from iterauction.training import TrainHyper
+from iterauction.training import (
+    TrainHyper,
+    _epoch_draws,
+    _layout_of,
+    _mean_data_grads,
+    _net,
+    _train_loop,
+    train_mean,
+)
 from iterauction.uub import (
     LOSS_VARIANTS,
     NomuHyper,
     _frozen_outputs,
-    _frozen_terms,
     _loss_terms,
     build_exact_uub,
     elu,
@@ -280,8 +287,6 @@ class TestTrainUub:
         rng = np.random.default_rng(0)
         m = 5
         reports = random_reports(m, rng, extra=8)
-        from iterauction.training import train_mean
-
         th = TrainHyper(epochs=60)
         mean = train_mean(reports, [m, 8, 1], InitHyper(), th, seed=0)
         exact = build_exact_uub(reports)
@@ -296,8 +301,6 @@ class TestTrainUub:
         # not lower the learned bound relative to the mean network
         rng = np.random.default_rng(1)
         m = 4
-        from iterauction.training import train_mean
-
         gaps = {0.01: [], 1.0: []}
         for seed in range(5):
             reports = random_reports(m, np.random.default_rng(seed), extra=5)
@@ -328,32 +331,47 @@ class TestTrainUub:
             assert got.tobytes() == np.stack([net.forward(a) for a in arts]).tobytes()
 
     @pytest.mark.parametrize("variant", LOSS_VARIANTS)
-    def test_cached_epoch_score_equals_nomu_loss(self, variant):
-        # train_uub scores every epoch with the frozen networks' outputs on
-        # its fixed sample computed once; the score must be nomu_loss exactly
-        from iterauction.training import train_mean
-
-        rng = np.random.default_rng(3)
-        m = 5
-        reports = random_reports(m, rng, extra=8)
+    def test_stacked_epoch_scores_equal_nomu_loss(self, variant):
+        # train_uub scores every epoch in one pass over the stack of the
+        # epochs' networks, views of _train_loop's (epochs + 1, P) matrix;
+        # each score must be nomu_loss of that epoch's network alone, exactly
         th = TrainHyper(epochs=20)
         nh = NomuHyper(loss_variant=variant)
-        mean = train_mean(reports, [m, 8, 1], InitHyper(), th, seed=0)
-        exact = build_exact_uub(reports)
-        X = np.stack([b.astype(float) for b, _ in reports])
-        y = np.array([v for _, v in reports])
-        X_eval = rng.uniform(0.0, 1.0, size=(128, m))
-        eval_terms = _frozen_terms(mean, exact, X, y, X_eval, nh, th.smooth_l1_beta)
-        nets = [train_uub(reports, mean, exact, nh, th, InitHyper(), [m, 8, 1], seed=0)]
-        nets += [init_params([m, 8, 1], InitHyper(), (0.1, 1.0), seed=s, skip=bool(s - 1))
-                 for s in (1, 2)]
         no_l2 = TrainHyper(l2_lambda=0.0)
-        for net in nets + nets[:1]:
-            score = sum(eval_terms(net).values())
-            assert score == nomu_loss(net, mean, exact, X, y, X_eval, nh, th.smooth_l1_beta)
-            # the gradient path evaluates the frozen networks afresh
+        m = 5
+        # one report (a one-row block), and a hidden fan-in of 40
+        for extra, dims, skip in ((0, [m, 8, 1], False), (8, [m, 8, 1], True),
+                                  (8, [m, 40, 36, 1], False)):
+            rng = np.random.default_rng(extra + len(dims))
+            reports = random_reports(m, rng, extra=extra)
+            k = len(reports)
+            assert (k == 1) == (extra == 0)
+            X = np.stack([b.astype(float) for b, _ in reports])
+            y = np.array([v for _, v in reports])
+            mean = train_mean(reports, [m, 8, 1], InitHyper(), th, seed=0)
+            exact = build_exact_uub(reports)
+            params = init_params(dims, InitHyper(), (0.1, 1.0), rng, skip=skip)
+            perms, _ = _epoch_draws(rng, th.epochs, k)
+            thetas = _train_loop(params, th, zip(X[perms], y[perms]),
+                                 lambda g, p, xb, yb: _mean_data_grads(g, p, xb, yb, th))
+            X_eval = rng.uniform(0.0, 1.0, size=(128, m))
+            layout = _layout_of(params)
+            scores = nomu_loss(_net(layout, thetas), mean, exact, X, y, X_eval, nh,
+                               th.smooth_l1_beta)
+            assert scores.shape == (th.epochs + 1,)
+            assert len(set(scores.tolist())) > th.epochs // 2  # the epochs differ
+            mean_eval, exact_eval = mean.forward(X_eval), exact.forward(X_eval)
+            for theta, score in zip(thetas, scores):
+                net = _net(layout, theta.copy())
+                one = nomu_loss(net, mean, exact, X, y, X_eval, nh, th.smooth_l1_beta)
+                assert score.tobytes() == np.float64(one).tobytes()
+                # the term-by-term forms, added in term order
+                ref = reference_loss_terms(net.forward(X), net.forward(X_eval), y, mean_eval,
+                                           exact_eval, nh, th.smooth_l1_beta)
+                assert score == sum(value for value, _, _ in ref.values())
+            # the gradient path sums the same terms
             fresh, _ = nomu_loss_and_grads(net, mean, exact, X, y, X_eval, nh, no_l2)
-            assert score == pytest.approx(fresh, rel=1e-12)
+            assert scores[-1] == pytest.approx(fresh, rel=1e-12)
 
 
 class TestPrimitives:

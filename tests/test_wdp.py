@@ -187,8 +187,9 @@ class TestBranchAndBound:
         assert sol.status == "gap_limit"
 
     def test_no_bidders_leave_every_item_unassigned(self):
-        sol = solve_wdp([], 3, budget=SolveBudget(relative_gap=0.0))
-        assert sol.allocation.shape == (0, 3) and sol.objective == 0.0
+        for sol in (solve_wdp([], 3, budget=SolveBudget(relative_gap=0.0)),
+                    brute_force_wdp([], 3)):
+            assert sol.allocation.shape == (0, 3) and sol.objective == 0.0
 
     def test_no_items_rejected(self):
         with pytest.raises(InvalidInputError, match="at least one item"):
