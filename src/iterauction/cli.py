@@ -27,7 +27,7 @@ from .training import TrainHyper, train_mean
 from .uub import NomuHyper, build_exact_uub, train_uub
 from .values import GeneratorConfig, generate_instance
 from .wdp import SolveBudget, emit_lp_file, encode_milp, solve_wdp
-from .domain import AuctionInstance, dataclass_from_json
+from .domain import AuctionInstance, as_bundle, dataclass_from_json
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
@@ -52,8 +52,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_train(args) -> int:
     obj = json.loads(Path(args.reports).read_text())
-    reports = [(np.asarray(b, dtype=np.int64), float(v)) for b, v in obj["reports"]]
-    m = len(reports[0][0])
+    m = len(obj["reports"][0][0])
+    reports = [(as_bundle(b, m), float(v)) for b, v in obj["reports"]]
     dims = [m, *(int(d) for d in args.hidden_dims.split(","))] + [1]
     exact = build_exact_uub(reports)
     mean = train_mean(reports, dims, InitHyper(), TrainHyper(epochs=args.epochs), seed=args.seed)

@@ -65,27 +65,32 @@ def dataclass_from_json(cls, obj: dict, what: str):
     return cls(**obj)
 
 
+def _zero_one(x, what: str) -> np.ndarray:
+    """``x`` as an int64 array, checked to hold only exact 0s and 1s before
+    the cast, which would truncate 0.5 to 0."""
+    raw = np.asarray(x)
+    if not ((raw == 0) | (raw == 1)).all():
+        raise InvalidInputError(f"{what} entries must be 0 or 1")
+    return raw.astype(np.int64, copy=False)
+
+
 def as_bundle(x, m: int | None = None) -> np.ndarray:
     """Validate and return a bundle as an int ndarray of shape (m,)."""
-    b = np.asarray(x, dtype=np.int64).ravel()
+    b = _zero_one(x, "bundle").ravel()
     if m is not None and b.shape[0] != m:
         raise InvalidInputError(f"bundle length {b.shape[0]} != item count {m}")
-    if not np.isin(b, (0, 1)).all():
-        raise InvalidInputError("bundle entries must be 0 or 1")
     return b
 
 
 def as_allocation(a, n: int | None = None, m: int | None = None) -> np.ndarray:
     """Validate and return an allocation as an int ndarray of shape (n, m)."""
-    arr = np.asarray(a, dtype=np.int64)
+    arr = _zero_one(a, "allocation")
     if arr.ndim != 2:
         raise InvalidInputError("allocation must be a 2-D bidder x item array")
     if n is not None and arr.shape[0] != n:
         raise InvalidInputError(f"allocation has {arr.shape[0]} bidders, expected {n}")
     if m is not None and arr.shape[1] != m:
         raise InvalidInputError(f"allocation has {arr.shape[1]} items, expected {m}")
-    if not np.isin(arr, (0, 1)).all():
-        raise InvalidInputError("allocation entries must be 0 or 1")
     return arr
 
 
@@ -128,7 +133,7 @@ class ReportSet:
 
     def value_of(self, bidder: int, bundle) -> float | None:
         """Reported value of `bundle` for `bidder`, or None if unreported."""
-        key = tuple(int(v) for v in np.asarray(bundle, dtype=np.int64).ravel())
+        key = tuple(int(v) for v in as_bundle(bundle, self.m))
         return self._index[bidder].get(key)
 
     def bundles_of(self, bidder: int) -> set[tuple]:

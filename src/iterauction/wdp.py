@@ -31,7 +31,19 @@ INTEGRALITY_TOL = 1e-6
 FEASIBILITY_TOL = 1e-9
 WELFARE_TIE_TOL = 1e-9
 BRUTE_FORCE_LIMIT = 10**7
-BRUTE_FORCE_CHUNK = 1 << 16  # assignments enumerated per vectorised batch
+# Assignments enumerated per vectorised batch.  A block holds a few (B, m)
+# arrays at once (the code/radix quotient, the digits and one bundle matrix
+# per bidder), so it is sized to stay in cache.  On a 2-vCPU VM, peak RSS
+# after the `fit-m18` benchmark's set-up (three n=1, m=18 instances; 30.5 MB
+# after import) was 37-39 MB for blocks of 1,024-4,096 rows, 42 MB for
+# 8,192, 48 MB for 16,384 and 83 MB for 65,536, and 4,096 rows was the
+# fastest.  A value kernel's result for a row can depend on the row's
+# position in its batch, so the block is a power of two: every row keeps
+# its position modulo the kernels' unroll widths, and the final partial
+# block holds the same tail rows, whatever the block size.  The optimum is
+# then bit-identical across block sizes, which a table of every bundle's
+# value per bidder would not be.
+BRUTE_FORCE_CHUNK = 1 << 12
 
 
 @dataclass
@@ -106,17 +118,20 @@ def brute_force_wdp(evaluators, m: int, exclusions=None) -> WdpSolution:
         digits = (codes[:, None] // radix[None, :]) % (n + 1)  # (B, m), 0 = nobody
         welfare = np.zeros(len(codes))
         bundles = []
-        feasible = np.ones(len(codes), dtype=bool)
+        feasible = None
         for i in range(n):
             X = (digits == i + 1).astype(np.float64)
             bundles.append(X)
             welfare += np.asarray(evaluators[i](X), dtype=np.float64)
             if excl[i] is not None:
+                if feasible is None:
+                    feasible = np.ones(len(codes), dtype=bool)
                 for e in excl[i]:
                     feasible &= ~(X == np.asarray(e, dtype=np.float64)).all(axis=1)
-        welfare[~feasible] = -np.inf
-        if not feasible.any():
-            continue
+        if feasible is not None:
+            welfare[~feasible] = -np.inf
+            if not feasible.any():
+                continue
         if best_w is not None and welfare.max() < best_w - WELFARE_TIE_TOL:
             continue
         cutoff = welfare.max() if best_w is None else max(welfare.max(), best_w)

@@ -69,6 +69,14 @@ class TestCli:
         nets = {key: ia.MvnnParams.from_json_obj(doc) for key, doc in triple.items()}
         assert nets["exact_uub_net"].forward(np.ones(3)) == 1.0
 
+    @pytest.mark.parametrize("bundle", [[0.5, 0, 1, 0], [2, 0, 1, 0]])
+    def test_train_rejects_a_non_zero_one_bundle(self, tmp_path, bundle):
+        reports = {"reports": [[[1, 1, 1, 1], 2.0], [bundle, 1.0]]}
+        rp = tmp_path / "reports.json"
+        rp.write_text(json.dumps(reports))
+        with pytest.raises(ia.InvalidInputError, match="0 or 1"):
+            main(["train", "--reports", str(rp), "--epochs", "5"])
+
     def test_export_milp_lp_text(self, tmp_path):
         nets = [init_params([3, 3, 1], InitHyper(), seed=k) for k in range(2)]
         np_path = tmp_path / "nets.json"

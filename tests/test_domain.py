@@ -17,6 +17,29 @@ class TestBundles:
         with pytest.raises(InvalidInputError):
             ia.as_bundle([1, 0], m=3)
 
+    @pytest.mark.parametrize("entries", [[0.5, 1.0], [0.3, 1], [2, 0], [-1, 1], [np.nan, 1]])
+    def test_non_zero_one_entries_are_rejected_before_the_cast(self, entries):
+        # a cast to int first would turn 0.5 and 0.3 into a silent 0
+        with pytest.raises(InvalidInputError, match="0 or 1"):
+            ia.as_bundle(entries)
+        with pytest.raises(InvalidInputError, match="0 or 1"):
+            ia.as_allocation([entries, [0, 0]])
+        rs = ia.ReportSet(1, 2)
+        with pytest.raises(InvalidInputError, match="0 or 1"):
+            rs.add(0, entries, 0.5)
+        rs.add(0, [0, 1], 0.5)
+        with pytest.raises(InvalidInputError, match="0 or 1"):
+            rs.value_of(0, entries)
+
+    @pytest.mark.parametrize("entries", [[0, 1], [False, True], [0.0, 1.0], np.array([0.0, 1.0])])
+    def test_int_bool_and_integral_float_entries_pass(self, entries):
+        b = ia.as_bundle(entries)
+        assert b.dtype == np.int64 and b.tolist() == [0, 1]
+        assert ia.as_allocation([entries]).tolist() == [[0, 1]]
+        rs = ia.ReportSet(1, 2)
+        rs.add(0, entries, 0.5)
+        assert rs.value_of(0, [0, 1]) == 0.5
+
     def test_allocation_feasibility(self):
         assert ia.is_feasible([[1, 0], [0, 1]], m=2)
         assert not ia.is_feasible([[1, 0], [1, 0]], m=2)

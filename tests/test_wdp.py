@@ -7,12 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import iterauction as ia
 from iterauction import wdp
 from iterauction.errors import InvalidInputError, UnsupportedSizeError
 from iterauction.mvnn import InitHyper, MvnnParams, init_params
+from iterauction.values import KINDS, _random_model
 from iterauction.wdp import (
     SolveBudget,
     box_bounds,
@@ -57,6 +58,68 @@ class TestBruteForce:
         sol = brute_force_wdp(evs, 3, exclusions=banned)
         assert tuple(sol.allocation[0]) != tuple(free.allocation[0])
         assert sol.objective <= free.objective + 1e-12
+
+
+# The former 65,536-row block and today's cache-sized one.  Sizes keep
+# n <= 4, m <= 12 and at most 2^18 assignments: up to four old blocks.
+_BLOCKS = (1 << 16, wdp.BRUTE_FORCE_CHUNK)
+_MAX_M = {1: 12, 2: 11, 3: 9, 4: 7}
+
+
+def _at_each_block(solve):
+    out = []
+    for block in _BLOCKS:
+        with mock.patch.object(wdp, "BRUTE_FORCE_CHUNK", block):
+            out.append(solve())
+    return out
+
+
+def _optimum(allocation, objective):
+    return np.asarray(allocation).tolist(), np.float64(objective).tobytes()
+
+
+@st.composite
+def brute_force_sizes(draw):
+    n = draw(st.integers(1, 4))
+    return n, draw(st.integers(1, _MAX_M[n]))
+
+
+class TestBruteForceBlocks:
+    """The optimum is bit-identical whatever the block size."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(brute_force_sizes(), st.lists(st.sampled_from(KINDS), min_size=1, max_size=3),
+           st.integers(0, 2**31 - 1))
+    @example((2, 11), ["additive", "pairwise-synergy"], 1)  # partial final blocks of either size
+    @example((3, 9), ["coverage"], 2)  # four whole 65,536-row blocks
+    def test_instance_optimum(self, size, kinds, seed):
+        n, m = size
+        cfg = ia.GeneratorConfig(n=n, m=m, bidder_kinds=tuple(kinds))
+        old, new = _at_each_block(lambda: ia.generate_instance(cfg, seed))
+        assert (_optimum(old.optimal_allocation, old.optimal_welfare)
+                == _optimum(new.optimal_allocation, new.optimal_welfare))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(brute_force_sizes(), st.sampled_from(["values", "networks"]), st.booleans(),
+           st.integers(0, 2**31 - 1))
+    @example((2, 11), "values", True, 3)
+    @example((4, 7), "networks", True, 4)
+    @example((3, 9), "networks", False, 5)
+    def test_brute_force_optimum(self, size, source, exclude, seed):
+        n, m = size
+        rng = np.random.default_rng(seed)
+        if source == "values":
+            cfg = ia.GeneratorConfig(n=n, m=m)
+            evs = [_random_model(KINDS[i % len(KINDS)], m, cfg, rng).value_batch for i in range(n)]
+        else:
+            evs = [p.forward for p in random_nets(n, m, rng)]
+        excl = None
+        if exclude:  # the full bundle and a few random non-empty ones, per bidder or not
+            excl = [None if rng.random() < 0.3 else
+                    [np.ones(m, dtype=np.int64), *(b for b in rng.integers(0, 2, (3, m)) if b.any())]
+                    for _ in range(n)]
+        old, new = _at_each_block(lambda: brute_force_wdp(evs, m, exclusions=excl))
+        assert _optimum(old.allocation, old.objective) == _optimum(new.allocation, new.objective)
 
 
 class TestBranchAndBound:
