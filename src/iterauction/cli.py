@@ -28,6 +28,7 @@ from .uub import NomuHyper, build_exact_uub, train_uub
 from .values import GeneratorConfig, generate_instance
 from .wdp import SolveBudget, emit_lp_file, encode_milp, solve_wdp
 from .domain import AuctionInstance, as_bundle, dataclass_from_json
+from .errors import InvalidInputError
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
@@ -52,6 +53,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_train(args) -> int:
     obj = json.loads(Path(args.reports).read_text())
+    if not obj["reports"]:
+        raise InvalidInputError("no reports: need at least the full-bundle report")
     m = len(obj["reports"][0][0])
     reports = [(as_bundle(b, m), float(v)) for b, v in obj["reports"]]
     dims = [m, *(int(d) for d in args.hidden_dims.split(","))] + [1]

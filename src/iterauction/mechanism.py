@@ -22,7 +22,7 @@ from .errors import ExhaustedBidderError, InvalidInputError
 from .mvnn import InitHyper, MvnnParams
 from .training import TrainHyper, train_mean
 from .uub import NomuHyper, build_exact_uub, train_uub
-from .wdp import SolveBudget, solve_reported_wdp, solve_wdp
+from .wdp import SolveBudget, WdpSolution, solve_reported_wdp, solve_wdp
 
 log = logging.getLogger("iterauction.mechanism")
 
@@ -138,12 +138,18 @@ def next_query(
     excluded_bundles: set,
     budget: SolveBudget,
     solves: list | None = None,
+    prior: WdpSolution | None = None,
 ) -> np.ndarray:
     """The bundle `bidder` receives in a welfare-maximizing allocation of
     the economy's surrogate models, constrained to differ from everything in
     `excluded_bundles` (which must contain the empty bundle so the query is
     informative).  The economy's nets must share one architecture, as they
     are stacked (``MvnnParams.stack``); the number of items is theirs.
+
+    `prior` is the ``unconstrained`` optimum of an earlier query's solution
+    in the same economy, over the same nets.  It is used only when the
+    budget's gap is 0: if the bidder's bundle in it is not excluded, it is
+    the answer, and the solution reports ``nodes=0`` (see ``solve_wdp``).
 
     A solve that is not proven optimal (gap or time limit) is logged as a
     warning; if `solves` is given, the query's WdpSolution is appended."""
@@ -153,7 +159,7 @@ def next_query(
     if len(excluded_bundles) >= 2**stacked.m:
         raise ExhaustedBidderError("every bundle of this bidder is excluded")
     exclusions = [excluded_bundles if i == bidder else None for i in economy]
-    sol = solve_wdp(stacked, stacked.m, budget=budget, exclusions=exclusions)
+    sol = solve_wdp(stacked, stacked.m, budget=budget, exclusions=exclusions, prior=prior)
     if sol.status != "optimal":
         log.warning("query for bidder %d in economy %s: status %s, proven gap %.4g",
                     bidder, economy, sol.status, sol.proven_gap)
@@ -239,9 +245,14 @@ def run_mlca(instance, config: MechanismConfig, seed: int = 0) -> AuctionOutcome
             schedule = _marginal_schedule(n, config.q_round, r)
             # every bidder's marginal economies first, then the main economy
             picks = [(i, removed) for i in range(n) for removed in schedule[i]]
+            # per economy, by its removed bidder: the unconstrained optimum
+            # of its latest query, which later queries in it may reuse
+            priors = {}
             for i, removed in picks + [(i, None) for i in range(n)]:
                 economy = [j for j in range(n) if j != removed]
-                b = next_query(i, economy, nets, excluded[i], config.budget, solves)
+                b = next_query(i, economy, nets, excluded[i], config.budget, solves,
+                               prior=priors.get(removed))
+                priors[removed] = solves[-1].unconstrained
                 excluded[i].add(tuple(b))
                 queries.append((i, b))
 

@@ -64,6 +64,9 @@ class WdpSolution:
     status: str = "optimal"  # optimal | gap_limit | time_limit
     proven_gap: float = 0.0
     nodes: int = 0
+    # the optimum with no exclusions, proven by the same search; set by
+    # ``solve_wdp`` only when its status is "optimal" at gap 0
+    unconstrained: WdpSolution | None = None
 
 
 def _better(w, alloc_flat, best_w, best_flat):
@@ -189,7 +192,8 @@ def _node_rows(m: int):
     return removed, keeps, term_rows
 
 
-def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=None) -> WdpSolution:
+def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=None,
+              prior: WdpSolution | None = None) -> WdpSolution:
     """Branch and bound over item-to-bidder-or-nobody decisions.
 
     ``evaluators`` is a stack of n networks (``MvnnParams.stack``), whose
@@ -231,6 +235,19 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
     it goes on past the deadline until the first feasible leaf), and the
     proven gap covers that node and every unexplored sibling on the path to
     it.
+
+    At gap 0, node bounds do not depend on the exclusions, which only
+    leaves check, and nothing pruned can beat the incumbent.  So the best
+    leaf the search reaches by ``_better``, excluded or not, is the optimum
+    with no exclusions.  A solve with status "optimal" at gap 0 returns it
+    as ``unconstrained``; any other solve sets that field to None.
+
+    ``prior`` takes such an ``unconstrained`` optimum from an earlier solve
+    of the same evaluators (the caller's contract: the same nets in the same
+    order).  It is used only when the budget's gap is 0, and only if no
+    bidder's bundle in it is excluded: it is then this solve's answer too,
+    returned at once, with ``nodes=0`` and no evaluator call.  Otherwise the
+    search runs as if no prior were given.
     """
     if m < 1:
         raise InvalidInputError("need at least one item")
@@ -240,6 +257,12 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
     else:
         n, evaluate = len(evaluators), _batched(evaluators)
     excl = _exclusion_sets(n, exclusions)
+    if prior is not None and budget.relative_gap == 0:
+        if prior.allocation.shape != (n, m):
+            raise InvalidInputError("prior allocation does not match the evaluators")
+        if not any(_excluded(b, e) for b, e in zip(prior.allocation, excl)):
+            return WdpSolution(allocation=prior.allocation.copy(), objective=prior.objective,
+                               unconstrained=prior)
     deadline = time.monotonic() + budget.time_limit_secs
 
     removed, keeps, term_rows = _node_rows(m)
@@ -252,16 +275,15 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
     undecided = np.ones(m)
     # best bound among the not-yet-explored siblings at each depth
     frontier = [-np.inf] * m
-    state = {"best_w": None, "best_alloc": None, "nodes": 0}
+    # the incumbent, and apart from it the best leaf an exclusion rejected
+    state = {"best_w": None, "best_alloc": None, "rejected_w": None, "rejected_alloc": None,
+             "nodes": 0}
 
     def leaf(w: float):
-        for i in range(n):
-            if _excluded(bundles[i], excl[i]):
-                return
-        alloc = bundles.astype(np.int64)
-        bf = None if state["best_alloc"] is None else state["best_alloc"].ravel()
-        if _better(w, alloc.ravel(), state["best_w"], bf):
-            state["best_w"], state["best_alloc"] = w, alloc
+        kind = "rejected" if any(_excluded(b, e) for b, e in zip(bundles, excl)) else "best"
+        alloc, held = bundles.astype(np.int64), state[kind + "_alloc"]
+        if _better(w, alloc.ravel(), state[kind + "_w"], None if held is None else held.ravel()):
+            state[kind + "_w"], state[kind + "_alloc"] = w, alloc
 
     def branch(rows: np.ndarray) -> tuple[int, list[tuple[float, int]]]:
         """The branching item and its children's (bound, taker) pairs."""
@@ -320,14 +342,23 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
             float("inf") if not w
             else max(budget.relative_gap, state["abandoned"] / w - 1.0)
         )
-    if state["best_alloc"] is None:
+    best_w, best_alloc = state["best_w"], state["best_alloc"]
+    if best_alloc is None:
         raise InvalidInputError("exclusions rule out every assignment")
+    unconstrained = None
+    if status == "optimal":
+        w, alloc = best_w, best_alloc
+        rejected = state["rejected_alloc"]
+        if rejected is not None and _better(state["rejected_w"], rejected.ravel(), w, alloc.ravel()):
+            w, alloc = state["rejected_w"], rejected
+        unconstrained = WdpSolution(allocation=alloc.copy(), objective=w)
     return WdpSolution(
-        allocation=state["best_alloc"],
-        objective=state["best_w"],
+        allocation=best_alloc,
+        objective=best_w,
         status=status,
         proven_gap=proven_gap,
         nodes=state["nodes"],
+        unconstrained=unconstrained,
     )
 
 

@@ -77,6 +77,12 @@ class TestCli:
         with pytest.raises(ia.InvalidInputError, match="0 or 1"):
             main(["train", "--reports", str(rp), "--epochs", "5"])
 
+    def test_train_rejects_an_empty_report_list(self, tmp_path):
+        rp = tmp_path / "reports.json"
+        rp.write_text(json.dumps({"reports": []}))
+        with pytest.raises(ia.InvalidInputError, match="full-bundle report"):
+            main(["train", "--reports", str(rp), "--epochs", "5"])
+
     def test_export_milp_lp_text(self, tmp_path):
         nets = [init_params([3, 3, 1], InitHyper(), seed=k) for k in range(2)]
         np_path = tmp_path / "nets.json"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import iterauction as ia
-from iterauction import wdp
+from iterauction import mechanism, wdp
 from iterauction.mechanism import (
     MechanismConfig,
     _marginal_schedule,
@@ -242,6 +242,40 @@ class TestRunMlca:
         for i in range(2):
             bundles = [tuple(b) for b, _ in out.reports.per_bidder[i]]
             assert len(set(bundles)) == len(bundles)
+
+    @pytest.mark.parametrize("acquisition", ["uub", "exact-uub", "mean"])
+    def test_repeat_queries_in_an_economy_reuse_its_optimum(self, monkeypatch, acquisition):
+        # each round fits n bidders, then makes n * q_round query solves; an
+        # answer given without a search equals a fresh solve without prior
+        n, q_round = 3, 3
+        events, reused = [], []
+        solve, fit = mechanism.solve_wdp, mechanism.fit_bidder_models
+
+        def fitted(*args, **kwargs):
+            events.append("fit")
+            return fit(*args, **kwargs)
+
+        def solved(*args, **kwargs):
+            events.append("solve")
+            sol = solve(*args, **kwargs)
+            if sol.nodes == 0:
+                fresh = solve(*args, **{**kwargs, "prior": None})
+                assert sol.allocation.tolist() == fresh.allocation.tolist()
+                assert (sol.objective, sol.status, sol.proven_gap) == \
+                    (fresh.objective, fresh.status, fresh.proven_gap)
+                reused.append(sol)
+            return sol
+
+        monkeypatch.setattr(mechanism, "fit_bidder_models", fitted)
+        monkeypatch.setattr(mechanism, "solve_wdp", solved)
+        inst = ia.generate_instance(ia.GeneratorConfig(n=n, m=6), seed=0)
+        cfg = _fast_config(acquisition=acquisition, q_round=q_round, q_max=10, early_stop=False,
+                           train_hyper=ia.TrainHyper(epochs=10))
+        out = run_mlca(inst, cfg, seed=0)
+        assert out.rounds_run == cfg.rounds == 2
+        assert events == (["fit"] * n + ["solve"] * n * q_round) * cfg.rounds
+        assert reused
+        assert out.nonoptimal_queries == 0
 
     def test_config_json_round_trip(self):
         import json

@@ -265,8 +265,8 @@ def same_solution(a, b) -> bool:
 
 
 def count_leaves(monkeypatch) -> list:
-    """Patch the incumbent test, which B&B runs once per leaf whose
-    bundles no exclusion rules out; the returned list grows by one each."""
+    """Patch the incumbent test, which B&B runs once per leaf when no
+    exclusion applies; the returned list grows by one each."""
     leaves, better = [], wdp._better
 
     def counted(*args):
@@ -433,6 +433,104 @@ class TestAgainstBruteForceOnTies:
             assert (limited.allocation.sum(axis=0) <= 1).all()
             for i, bundles in enumerate(excl):
                 assert bundles is None or tuple(limited.allocation[i]) not in bundles
+
+
+@st.composite
+def economies(draw):
+    """A stack of n <= 3 nets over m <= 6 items: random nets, nets whose
+    output weights are all zero (every allocation ties), or exact bounds
+    with tied reported values (step nets with zero-height steps)."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "zero-output", "exact-uub"]))
+    seeds = [draw(st.integers(0, 10**6)) for _ in range(n)]
+    if kind == "exact-uub":
+        full = (1,) * m
+        bundles = draw(st.lists(st.tuples(*[st.integers(0, 1)] * m).filter(lambda b: 0 < sum(b) < m),
+                                max_size=3, unique=True))
+        steps = [0.25, 0.5, 1.0]
+        nets = []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)  # one report set per bidder, one width for all
+            nets.append(ia.build_exact_uub(
+                [(np.array(full), 1.0)] + [(np.array(b), float(rng.choice(steps))) for b in bundles]))
+    else:
+        nets = [init_params([m, 4, 1], InitHyper(), (0.1, 1.0), seed=seed) for seed in seeds]
+        if kind == "zero-output":
+            for net in nets:
+                net.weights[-1] = np.zeros_like(net.weights[-1])
+    return MvnnParams.stack(nets), nets, m
+
+
+def _draw_exclusions(draw, n, m, queried):
+    """The empty bundle and a few random ones for bidder `queried` only."""
+    bundles = st.tuples(*[st.integers(0, 1)] * m)
+    out = [None] * n
+    out[queried] = {(0,) * m} | draw(st.sets(bundles, max_size=4))
+    return out
+
+
+class TestUnconstrainedOptimum:
+    """A gap-0 search proves the optimum with no exclusions as a by-product,
+    and a later solve of the same nets may answer from it."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(economies(), st.booleans(), st.data())
+    def test_by_product_and_reuse(self, economy, listed, data):
+        stacked, nets, m = economy
+        n = len(nets)
+        evaluators = [p.forward for p in nets] if listed else stacked
+        exact = SolveBudget(relative_gap=0.0)
+        free = solve_wdp(evaluators, m, budget=exact)
+        assert _optimum(free.unconstrained.allocation, free.unconstrained.objective) == \
+            _optimum(free.allocation, free.objective)
+
+        first = data.draw(st.integers(0, n - 1))
+        excl = _draw_exclusions(data.draw, n, m, first)
+        if len(excl[first]) == 2**m:
+            return  # every bundle of the queried bidder is excluded
+        sol = solve_wdp(evaluators, m, budget=exact, exclusions=excl)
+        prior = sol.unconstrained
+        assert _optimum(prior.allocation, prior.objective) == _optimum(free.allocation, free.objective)
+
+        queried = data.draw(st.integers(0, n - 1))
+        later = _draw_exclusions(data.draw, n, m, queried)
+        if data.draw(st.booleans()):  # force the prior's bundle out
+            later[queried].add(tuple(int(v) for v in prior.allocation[queried]))
+        if len(later[queried]) == 2**m:
+            return
+        fresh = solve_wdp(evaluators, m, budget=exact, exclusions=later)
+        reused = solve_wdp(evaluators, m, budget=exact, exclusions=later, prior=prior)
+        if tuple(prior.allocation[queried]) in later[queried]:
+            assert reused.nodes > 0
+            assert same_solution(reused, fresh)
+        else:
+            assert reused.nodes == 0 and reused.status == "optimal" and reused.proven_gap == 0.0
+            assert _optimum(reused.allocation, reused.objective) == _optimum(fresh.allocation, fresh.objective)
+            assert reused.unconstrained is prior
+
+    def test_no_by_product_below_a_proof_at_gap_zero(self, monkeypatch):
+        nets = random_nets(3, 6, np.random.default_rng(6), hidden=(10,))
+        stacked = MvnnParams.stack(nets)
+        assert solve_wdp(stacked, 6, budget=SolveBudget(relative_gap=0.05)).unconstrained is None
+        ticks = itertools.count()
+        monkeypatch.setattr(wdp, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+        limited = solve_wdp(stacked, 6, budget=SolveBudget(relative_gap=0.0, time_limit_secs=7.5))
+        assert limited.status == "time_limit" and limited.unconstrained is None
+
+    def test_prior_is_ignored_at_a_positive_gap(self):
+        nets = random_nets(3, 6, np.random.default_rng(7), hidden=(10,))
+        stacked = MvnnParams.stack(nets)
+        prior = solve_wdp(stacked, 6, budget=SolveBudget(relative_gap=0.0)).unconstrained
+        budget = SolveBudget(relative_gap=0.05)
+        with_prior = solve_wdp(stacked, 6, budget=budget, prior=prior)
+        assert with_prior.nodes > 0
+        assert same_solution(with_prior, solve_wdp(stacked, 6, budget=budget))
+
+    def test_prior_must_match_the_evaluators(self):
+        nets = random_nets(2, 4, np.random.default_rng(8))
+        prior = solve_wdp(MvnnParams.stack(nets), 4, budget=SolveBudget(relative_gap=0.0)).unconstrained
+        with pytest.raises(InvalidInputError, match="prior"):
+            solve_wdp(MvnnParams.stack(nets[:1]), 4, budget=SolveBudget(relative_gap=0.0), prior=prior)
 
 
 class TestMilpEncoding:
