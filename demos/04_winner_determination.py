@@ -37,7 +37,7 @@ print(f"brute force:      welfare {brute.objective:.6f}  "
       f"allocation\n{brute.allocation}")
 
 # --- native branch and bound ----------------------------------------------
-bnb = ia.solve_wdp(evaluators, m, ia.SolveBudget(relative_gap=0.0))
+bnb = ia.solve_wdp(evaluators, m)
 print(f"branch and bound: welfare {bnb.objective:.6f}  "
       f"({bnb.nodes} nodes, proven gap {bnb.proven_gap:.1e})")
 

@@ -27,7 +27,7 @@ from .training import TrainHyper, train_mean
 from .uub import NomuHyper, build_exact_uub, train_uub
 from .values import GeneratorConfig, generate_instance
 from .wdp import SolveBudget, emit_lp_file, encode_milp, solve_wdp
-from .domain import AuctionInstance, as_bundle, dataclass_from_json
+from .domain import AuctionInstance, dataclass_from_json
 from .errors import InvalidInputError
 
 
@@ -52,13 +52,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    obj = json.loads(Path(args.reports).read_text())
-    if not obj["reports"]:
+    reports = json.loads(Path(args.reports).read_text())["reports"]
+    if not reports:
         raise InvalidInputError("no reports: need at least the full-bundle report")
-    m = len(obj["reports"][0][0])
-    reports = [(as_bundle(b, m), float(v)) for b, v in obj["reports"]]
-    dims = [m, *(int(d) for d in args.hidden_dims.split(","))] + [1]
-    exact = build_exact_uub(reports)
+    exact = build_exact_uub(reports)  # checks the reports
+    dims = [exact.m, *(int(d) for d in args.hidden_dims.split(","))] + [1]
     mean = train_mean(reports, dims, InitHyper(), TrainHyper(epochs=args.epochs), seed=args.seed)
     uub = train_uub(reports, mean, exact, NomuHyper(), TrainHyper(epochs=args.epochs),
                     InitHyper(), dims, seed=args.seed)

@@ -94,6 +94,29 @@ def as_allocation(a, n: int | None = None, m: int | None = None) -> np.ndarray:
     return arr
 
 
+def report_arrays(reports, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One bidder's (bundle, value) reports as a float64 0/1 matrix X (k, m)
+    and a value vector y (k,), checked in one pass: at least one report,
+    bundles of one length (``m`` if given), finite non-negative values,
+    and the empty bundle only at 0."""
+    if len(reports) == 0:
+        raise InvalidInputError("no reports: need at least one (bundle, value) pair")
+    try:
+        X = np.array([b for b, _ in reports], dtype=np.float64)
+        y = np.array([v for _, v in reports], dtype=np.float64)
+    except (TypeError, ValueError):  # ragged bundles, or not (bundle, number) pairs
+        raise InvalidInputError("reports must be (bundle, value) pairs with one bundle length") from None
+    if X.ndim != 2 or (m is not None and X.shape[1] != m):
+        raise InvalidInputError(f"report bundles have shape {X.shape[1:]}, not ({m or 'm'},)")
+    _zero_one(X, "bundle")
+    # written so that NaN fails the check
+    if not ((0 <= y) & (y < np.inf)).all():
+        raise InvalidInputError("reported values must be finite and non-negative")
+    if ((X.sum(axis=1) == 0) & (y != 0)).any():
+        raise InvalidInputError("the empty bundle must be reported at value 0")
+    return X, y
+
+
 def is_feasible(allocation, m: int) -> bool:
     """True iff no item is assigned to more than one bidder."""
     a = as_allocation(allocation, m=m)
@@ -107,8 +130,8 @@ def empty_allocation(n: int, m: int) -> np.ndarray:
 class ReportSet:
     """Per-bidder lists of (bundle, reported value) pairs.
 
-    Duplicate bundles within one bidder's list are rejected, values must be
-    non-negative, and the empty bundle may only be reported at value 0.
+    Each report is checked as ``report_arrays`` checks one, and a bidder's
+    duplicate bundles are rejected.
     """
 
     def __init__(self, n: int, m: int):
@@ -120,16 +143,13 @@ class ReportSet:
         self._index: list[dict[tuple, float]] = [{} for _ in range(n)]
 
     def add(self, bidder: int, bundle, value: float) -> None:
-        b = as_bundle(bundle, self.m)
+        X, y = report_arrays([(bundle, value)], self.m)
+        b, value = X[0].astype(np.int64), float(y[0])
         key = tuple(int(v) for v in b)
         if key in self._index[bidder]:
             raise InvalidInputError(f"bidder {bidder} already reported bundle {key}")
-        if value < 0:
-            raise InvalidInputError("reported values must be non-negative")
-        if b.sum() == 0 and value != 0:
-            raise InvalidInputError("the empty bundle must be reported at value 0")
-        self.per_bidder[bidder].append((b, float(value)))
-        self._index[bidder][key] = float(value)
+        self.per_bidder[bidder].append((b, value))
+        self._index[bidder][key] = value
 
     def value_of(self, bidder: int, bundle) -> float | None:
         """Reported value of `bundle` for `bidder`, or None if unreported."""

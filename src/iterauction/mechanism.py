@@ -39,7 +39,7 @@ class MechanismConfig:
     init_hyper: InitHyper = field(default_factory=InitHyper)
     train_hyper: TrainHyper = field(default_factory=lambda: TrainHyper(epochs=60))
     nomu_hyper: NomuHyper = field(default_factory=NomuHyper)
-    budget: SolveBudget = field(default_factory=lambda: SolveBudget(relative_gap=0.0))
+    budget: SolveBudget = field(default_factory=SolveBudget)
     skip: bool = False
     early_stop: bool = True
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import report_arrays
 from .errors import InvalidInputError
 from .mvnn import MvnnParams, _per_block, _row_spans, forward_cache, init_params
 
@@ -369,16 +370,13 @@ def train_mean(
     """Fit a monotone mean network to one bidder's reports.
 
     Keeps the best epoch by training MAE and retrains once from a fresh seed
-    when the training R^2 ends below the configured threshold.  Each
-    epoch's MAE takes one ``MvnnParams.forward`` after the loop.
+    when the training R^2 ends below the configured threshold.  Scoring
+    comes after the loop: the epochs' networks, start included, form one
+    stack, scored in one forward pass over the reports, each MAE bit for
+    bit what one ``forward`` per epoch gives (see ``forward_cache``).
+    ``domain.report_arrays`` checks the reports.
     """
-    if not reports:
-        raise InvalidInputError("cannot train on an empty report list")
-    X = np.stack([np.asarray(b, dtype=np.float64) for b, _ in reports])
-    y = np.asarray([v for _, v in reports], dtype=np.float64)
-
-    def train_mae(p):
-        return _sum(np.abs(p.forward(X) - y)) / len(y)
+    X, y = report_arrays(reports, layer_dims[0])
 
     def attempt(s):
         rng = np.random.default_rng(s)
@@ -388,14 +386,8 @@ def train_mean(
         perms, _ = _epoch_draws(rng, train_hyper.epochs, X.shape[0])
         batch_grads = functools.partial(_mean_data_grads, hyper=train_hyper)
         thetas = _train_loop(params, train_hyper, zip(X[perms], y[perms]), batch_grads)
-        # one net whose arrays view a row buffer, refilled per epoch:
-        # building and validating a net per epoch costs more than its forward
-        layout, row = _layout_of(params), thetas[0].copy()
-        net = _net(layout, row)
-        maes = []
-        for theta in thetas:
-            np.copyto(row, theta)
-            maes.append(train_mae(net))
+        layout = _layout_of(params)
+        maes = _sum(np.abs(forward_cache(_net(layout, thetas), X)[0] - y)) / len(y)
         e = _best_epoch(maes)
         return _net(layout, thetas[e].copy()), maes[e]
 

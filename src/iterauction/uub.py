@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import report_arrays
 from .errors import InvalidInputError
 from .mvnn import MvnnParams, forward_cache, init_params
 from .training import (
@@ -74,33 +75,20 @@ def build_exact_uub(reports: list[tuple[np.ndarray, float]]) -> MvnnParams:
     architecture; a zero-height step (a value equal to the one before it)
     gets output weight 0.
     """
-    if not reports:
-        raise InvalidInputError("need at least the full-bundle report")
-    m = len(np.asarray(reports[0][0]).ravel())
-    pairs = []
-    has_full = False
-    for b, v in reports:
-        arr = np.asarray(b, dtype=np.float64).ravel()
-        if arr.shape[0] != m:
-            raise InvalidInputError("inconsistent bundle lengths in reports")
-        if v < 0:
-            raise InvalidInputError("negative reported value")
-        if arr.sum() == m:
-            has_full = True
-        if arr.sum() == 0:
-            if v != 0:
-                raise InvalidInputError("empty bundle must be worth 0")
-            continue  # implied point, re-added below
-        pairs.append((arr, float(v)))
-    if not has_full:
+    X, y = report_arrays(reports)
+    m = X.shape[1]
+    sizes = X.sum(axis=1)
+    if not (sizes == m).any():
         raise InvalidInputError("reports must include the full bundle")
-
-    pairs.sort(key=lambda p: (p[1], -p[0].sum(), tuple(p[0])))
-    w = np.array([0.0] + [p[1] for p in pairs])
-    L = len(pairs)
+    keep = sizes > 0  # the empty bundle's implied point is re-added below
+    X, y, sizes = X[keep], y[keep], sizes[keep]
+    # by value, ties to the larger bundle, then by the bundle's entries
+    order = np.lexsort((*X.T[::-1], -sizes, y))
+    w = np.concatenate([[0.0], y[order]])
+    L = len(order)
     # with bundle 0 the empty one, first-layer neuron j is 1 where x has an
     # item outside bundle j, and step k where x has one outside each of 0..k
-    W1 = 1.0 - np.stack([np.zeros(m)] + [p[0] for p in pairs[:-1]])
+    W1 = 1.0 - np.concatenate([np.zeros((1, m)), X[order[:-1]]])
     W2 = np.tril(np.ones((L, L)))
     b2 = -np.arange(L, dtype=np.float64)
     W3 = np.diff(w).reshape(1, -1)
@@ -305,12 +293,9 @@ def train_uub(reports: list[tuple[np.ndarray, float]], mean_net: MvnnParams, exa
     sums keep every score bit for bit what one ``nomu_loss`` per epoch
     gives, and ``_best_epoch`` keeps the first lowest.
     """
-    if not reports:
-        raise InvalidInputError("cannot train on an empty report list")
-    rng = np.random.default_rng(seed)
-    X = np.stack([np.asarray(b, dtype=np.float64) for b, _ in reports])
-    y = np.asarray([v for _, v in reports], dtype=np.float64)
+    X, y = report_arrays(reports, layer_dims[0])
     n, m = X.shape
+    rng = np.random.default_rng(seed)
     params = init_params(layer_dims, init_hyper, train_hyper.cutoff_init_range, rng, skip=skip)
 
     X_eval = rng.uniform(0.0, 1.0, size=(max(nomu_hyper.n_art, 128), m))

@@ -153,7 +153,7 @@ def _random_model(kind: str, m: int, cfg: GeneratorConfig, rng: np.random.Genera
 
 def generate_instance(config: GeneratorConfig, seed: int) -> AuctionInstance:
     """Deterministically generate an instance and cache its exact optimum."""
-    from .wdp import BRUTE_FORCE_LIMIT, SolveBudget, brute_force_wdp, solve_wdp
+    from .wdp import BRUTE_FORCE_LIMIT, brute_force_wdp, solve_wdp
 
     rng = np.random.default_rng(seed)
     models = [
@@ -164,7 +164,7 @@ def generate_instance(config: GeneratorConfig, seed: int) -> AuctionInstance:
     if (config.n + 1) ** config.m <= BRUTE_FORCE_LIMIT:
         sol = brute_force_wdp(evaluators, config.m)
     else:
-        sol = solve_wdp(evaluators, config.m, budget=SolveBudget(relative_gap=0.0))
+        sol = solve_wdp(evaluators, config.m)
         if sol.status != "optimal":
             raise UnsupportedSizeError(f"optimum not proven within the time limit ({sol.status})")
     return AuctionInstance(

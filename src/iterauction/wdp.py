@@ -48,7 +48,7 @@ BRUTE_FORCE_CHUNK = 1 << 12
 
 @dataclass
 class SolveBudget:
-    relative_gap: float = 0.005
+    relative_gap: float = 0.0
     time_limit_secs: float = 600.0
 
     def __post_init__(self):
@@ -230,7 +230,11 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
 
     Children are explored best-bound first.  With a zero relative gap,
     nodes whose bound ties the incumbent are still explored so the
-    lexicographic tie-break matches the brute-force oracle.  On a time limit
+    lexicographic tie-break matches the brute-force oracle.  With a positive
+    gap, the status is "gap_limit" with the budget's gap only if the gap
+    rule pruned a child whose bound beats the final incumbent by more than
+    WELFARE_TIE_TOL; otherwise the optimum is proven, "optimal" at gap 0
+    (its tie-break may still differ from the oracle's).  On a time limit
     the search stops at the first node entered once an incumbent exists (so
     it goes on past the deadline until the first feasible leaf), and the
     proven gap covers that node and every unexplored sibling on the path to
@@ -275,9 +279,10 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
     undecided = np.ones(m)
     # best bound among the not-yet-explored siblings at each depth
     frontier = [-np.inf] * m
-    # the incumbent, and apart from it the best leaf an exclusion rejected
+    # the incumbent; apart from it, the best leaf an exclusion rejected; and
+    # the highest bound the gap rule pruned
     state = {"best_w": None, "best_alloc": None, "rejected_w": None, "rejected_alloc": None,
-             "nodes": 0}
+             "nodes": 0, "gap_pruned": -np.inf}
 
     def leaf(w: float):
         kind = "rejected" if any(_excluded(b, e) for b, e in zip(bundles, excl)) else "best"
@@ -320,6 +325,7 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
             bw = state["best_w"]
             if bw is not None:
                 if budget.relative_gap > 0 and b <= bw * (1 + budget.relative_gap):
+                    state["gap_pruned"] = max(state["gap_pruned"], b)
                     continue
                 if budget.relative_gap == 0 and b <= bw - WELFARE_TIE_TOL:
                     continue
@@ -331,22 +337,22 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
                 bundles[choice, j] = 0.0
         undecided[j] = 1.0
 
-    status = "optimal" if budget.relative_gap == 0 else "gap_limit"
-    proven_gap = budget.relative_gap
+    timed_out = False
     try:
         recurse(0, np.inf, np.arange(len(removed)))  # the root's bound is never read: no incumbent, no leaf
     except _TimeUp:
-        status = "time_limit"
-        w = state["best_w"]
-        proven_gap = (
-            float("inf") if not w
-            else max(budget.relative_gap, state["abandoned"] / w - 1.0)
-        )
+        timed_out = True
     best_w, best_alloc = state["best_w"], state["best_alloc"]
     if best_alloc is None:
         raise InvalidInputError("exclusions rule out every assignment")
+    # the gap holds only if the gap rule pruned a bound that beats the incumbent
+    proven_gap = budget.relative_gap if state["gap_pruned"] > best_w + WELFARE_TIE_TOL else 0.0
+    status = "optimal" if proven_gap == 0 else "gap_limit"
+    if timed_out:
+        status = "time_limit"
+        proven_gap = float("inf") if not best_w else max(proven_gap, state["abandoned"] / best_w - 1.0)
     unconstrained = None
-    if status == "optimal":
+    if status == "optimal" and budget.relative_gap == 0:
         w, alloc = best_w, best_alloc
         rejected = state["rejected_alloc"]
         if rejected is not None and _better(state["rejected_w"], rejected.ravel(), w, alloc.ravel()):

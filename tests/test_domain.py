@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import iterauction as ia
+from iterauction.domain import report_arrays
 from iterauction.errors import DegenerateInstanceError, InvalidInputError
 
 
@@ -82,6 +83,56 @@ class TestReportSet:
         rs.add(0, [1, 0], 0.6)
         w = ia.reported_welfare([[1, 0], [0, 1]], rs)
         assert w == 0.6
+
+
+FULL = ([1, 1, 1, 1], 2.0)
+MALFORMED = {
+    "no reports": [],
+    "ragged bundles": [FULL, ([1, 0, 1], 1.0)],
+    "a bundle longer than m": [([1, 1, 1, 1, 1], 2.0)],
+    "a fractional entry": [FULL, ([0.5, 0, 1, 0], 1.0)],
+    "an entry of 2": [FULL, ([2, 0, 1, 0], 1.0)],
+    "a negative value": [FULL, ([1, 0, 1, 0], -0.5)],
+    "a NaN value": [([1, 1, 1, 1], float("nan"))],
+    "an infinite value": [([1, 1, 1, 1], float("inf"))],
+    "an empty bundle at a non-zero value": [FULL, ([0, 0, 0, 0], 0.5)],
+}
+
+
+def _report_set(reports):
+    rs = ia.ReportSet(1, 4)
+    for b, v in reports:
+        rs.add(0, b, v)
+
+
+def _train_uub(reports):
+    net = ia.init_params([4, 3, 1], ia.InitHyper())
+    ia.train_uub(reports, net, net, ia.NomuHyper(), ia.TrainHyper(epochs=2), ia.InitHyper(),
+                 [4, 3, 1])
+
+
+READERS = {
+    "build_exact_uub": ia.build_exact_uub,
+    "train_mean": lambda reports: ia.train_mean(reports, [4, 3, 1], ia.InitHyper(),
+                                                ia.TrainHyper(epochs=2)),
+    "train_uub": _train_uub,
+    "ReportSet.add": _report_set,
+}
+# the exact bound takes m from the reports, and a report set is never empty
+NOT_APPLICABLE = {("build_exact_uub", "a bundle longer than m"), ("ReportSet.add", "no reports")}
+
+
+class TestReportArrays:
+    def test_reads_reports_as_a_float_matrix_and_a_value_vector(self):
+        X, y = report_arrays([(np.array([1, 0]), 1), ([0, 0], 0.0), ((True, True), 2)], m=2)
+        assert X.dtype == y.dtype == np.float64
+        assert X.tolist() == [[1, 0], [0, 0], [1, 1]] and y.tolist() == [1, 0, 2]
+
+    @pytest.mark.parametrize("reader, case", [(r, c) for r in READERS for c in MALFORMED
+                                              if (r, c) not in NOT_APPLICABLE])
+    def test_every_reader_rejects_a_malformed_report(self, reader, case):
+        with pytest.raises(InvalidInputError):
+            READERS[reader](MALFORMED[case])
 
 
 class TestEfficiencyLoss:

@@ -376,13 +376,16 @@ class TestAgainstEpochLoop:
     epoch into one forward pass and step Adam on one flat vector.  Each must
     give, byte for byte, the network of the epoch-by-epoch reference loop."""
 
-    @pytest.mark.parametrize("m", [5, 8])
+    # the last architecture's fan-ins of 40 and 36 can take OpenBLAS's
+    # small-matrix kernel (see mvnn._SMALL_KERNEL_FAN_IN)
+    @pytest.mark.parametrize("dims", [[5, 10, 10, 1], [8, 10, 10, 1], [8, 40, 36, 1]],
+                             ids=["5", "8", "8-wide"])
     @pytest.mark.parametrize("k", [1, 2, 7, 20])
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("trainable_cutoffs", [False, True])
-    def test_fits_equal_the_reference_loop(self, m, k, skip, trainable_cutoffs):
+    def test_fits_equal_the_reference_loop(self, dims, k, skip, trainable_cutoffs):
+        m = dims[0]
         reports = _random_reports(m, k, seed=10 * m + k)
-        dims = [m, 10, 10, 1]
         th = TrainHyper(epochs=12, trainable_cutoffs=trainable_cutoffs)
         mean = train_mean(reports, dims, InitHyper(), th, seed=k, skip=skip)
         assert mean.to_json() == reference_train_mean(reports, dims, InitHyper(), th, k,

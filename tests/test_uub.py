@@ -145,6 +145,12 @@ class TestTiedReports:
         for reports, net in zip(sets, nets):
             width = sum(1 for b, _ in reports if b.any())
             assert net.layer_dims == [m, width, width, 1]
+            # the steps in the documented order, by a Python sort as the
+            # reference: by value, then the larger bundle, then by entries
+            steps = sorted((v, -b.sum(), tuple(b)) for b, v in reports if b.any())
+            assert net.weights[0].tolist() == [[1.0] * m] + [[1.0 - e for e in b]
+                                                             for _, _, b in steps[:-1]]
+            assert net.weights[2][0].tolist() == np.diff([0.0] + [v for v, _, _ in steps]).tolist()
             for x in itertools.product([0, 1], repeat=m):
                 assert net.forward(np.array(x, dtype=float)) == max_monotone_extension(reports, x)
 

@@ -246,13 +246,24 @@ class TestBranchAndBound:
 
     def test_budget_accepts_infinite_values(self):
         budget = SolveBudget(relative_gap=math.inf, time_limit_secs=math.inf)
-        sol = solve_wdp(MvnnParams.stack(random_nets(2, 3, np.random.default_rng(0))), 3, budget=budget)
-        assert sol.status == "gap_limit"
+        # the first leaf's search visits what gap 0 visits: nothing pruned beats it
+        stacked = MvnnParams.stack(random_nets(2, 3, np.random.default_rng(0)))
+        sol, exact = solve_wdp(stacked, 3, budget=budget), solve_wdp(stacked, 3)
+        assert (sol.status, sol.proven_gap) == ("optimal", 0.0)
+        assert (sol.nodes, sol.objective) == (exact.nodes, exact.objective)
+        assert sol.unconstrained is None  # proven only by a gap-0 search
+        # here the gap rule prunes a child whose bound beats the first leaf
+        stacked = MvnnParams.stack(random_nets(3, 6, np.random.default_rng(3)))
+        sol = solve_wdp(stacked, 6, budget=budget)
+        assert (sol.status, sol.proven_gap) == ("gap_limit", math.inf)
+        assert sol.nodes < solve_wdp(stacked, 6).nodes
 
     def test_no_bidders_leave_every_item_unassigned(self):
-        for sol in (solve_wdp([], 3, budget=SolveBudget(relative_gap=0.0)),
+        # a positive gap prunes nothing that could beat welfare 0: proven too
+        for sol in (solve_wdp([], 3), solve_wdp([], 3, budget=SolveBudget(relative_gap=0.005)),
                     brute_force_wdp([], 3)):
             assert sol.allocation.shape == (0, 3) and sol.objective == 0.0
+            assert (sol.status, sol.proven_gap) == ("optimal", 0.0)
 
     def test_no_items_rejected(self):
         with pytest.raises(InvalidInputError, match="at least one item"):
@@ -423,6 +434,11 @@ class TestAgainstBruteForceOnTies:
             assert exact.objective == pytest.approx(best.objective, abs=1e-9)
             approx = solve_wdp(evaluators, m, budget=SolveBudget(relative_gap=gap), exclusions=excl)
             assert approx.objective >= best.objective / (1 + gap)
+            if approx.status == "optimal":  # nothing pruned could beat the incumbent
+                assert approx.proven_gap == 0.0
+                assert approx.objective == pytest.approx(best.objective, abs=1e-9)
+            else:
+                assert (approx.status, approx.proven_gap) == ("gap_limit", gap)
             # one tick per clock read, as in test_time_limit_after_k_nodes
             ticks = itertools.count()
             with mock.patch.object(wdp, "time", SimpleNamespace(monotonic=lambda: float(next(ticks)))):
