@@ -27,7 +27,7 @@ from .training import TrainHyper, train_mean
 from .uub import NomuHyper, build_exact_uub, train_uub
 from .values import GeneratorConfig, generate_instance
 from .wdp import SolveBudget, emit_lp_file, encode_milp, solve_wdp
-from .domain import AuctionInstance, dataclass_from_json
+from .domain import AuctionInstance, dataclass_from_json, require_keys
 from .errors import InvalidInputError
 
 
@@ -52,7 +52,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    reports = json.loads(Path(args.reports).read_text())["reports"]
+    obj = json.loads(Path(args.reports).read_text())
+    require_keys(obj, ["reports"], "reports file")
+    reports = obj["reports"]
     if not reports:
         raise InvalidInputError("no reports: need at least the full-bundle report")
     exact = build_exact_uub(reports)  # checks the reports

@@ -39,17 +39,23 @@ def _json_type_ok(value, hint) -> bool:
     return isinstance(value, _JSON_TYPES[hint]) and isinstance(value, bool) == (hint is bool)
 
 
+def require_keys(obj, keys, what: str) -> None:
+    """Check that ``obj`` is a JSON object holding every one of ``keys``;
+    otherwise raise ``InvalidInputError`` naming the missing keys."""
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{what} must be a JSON object, got {obj!r}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise InvalidInputError(f"{what} is missing required keys {missing}")
+
+
 def dataclass_from_json(cls, obj: dict, what: str):
     """``cls(**obj)`` for a JSON object: dataclass-typed fields are read
     recursively, and bool, int, float, str, list and typed tuple fields
     type-checked (see ``_json_type_ok``).  A non-dict, a missing, unknown
     or mistyped key raises ``InvalidInputError`` naming the key."""
-    if not isinstance(obj, dict):
-        raise InvalidInputError(f"{what} must be a JSON object, got {obj!r}")
-    missing = [f.name for f in fields(cls) if f.name not in obj
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise InvalidInputError(f"{what} is missing required keys {missing}")
+    require_keys(obj, [f.name for f in fields(cls)
+                       if f.default is MISSING and f.default_factory is MISSING], what)
     unknown = set(obj) - {f.name for f in fields(cls)}
     if unknown:
         raise InvalidInputError(f"unknown {what} keys {sorted(unknown)}")
@@ -98,7 +104,7 @@ def report_arrays(reports, m: int | None = None) -> tuple[np.ndarray, np.ndarray
     """One bidder's (bundle, value) reports as a float64 0/1 matrix X (k, m)
     and a value vector y (k,), checked in one pass: at least one report,
     bundles of one length (``m`` if given), finite non-negative values,
-    and the empty bundle only at 0."""
+    the empty bundle only at 0, and no bundle twice."""
     if len(reports) == 0:
         raise InvalidInputError("no reports: need at least one (bundle, value) pair")
     try:
@@ -114,6 +120,10 @@ def report_arrays(reports, m: int | None = None) -> tuple[np.ndarray, np.ndarray
         raise InvalidInputError("reported values must be finite and non-negative")
     if ((X.sum(axis=1) == 0) & (y != 0)).any():
         raise InvalidInputError("the empty bundle must be reported at value 0")
+    if len(X) > 1:
+        rows = X[np.lexsort(X.T)]  # equal bundles end up side by side
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
+            raise InvalidInputError("a bundle is reported more than once")
     return X, y
 
 
@@ -182,6 +192,7 @@ class ReportSet:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ReportSet":
+        require_keys(obj, ["n", "m", "reports"], "report set")
         rs = cls(obj["n"], obj["m"])
         for i, pairs in enumerate(obj["reports"]):
             for b, v in pairs:

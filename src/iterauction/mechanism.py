@@ -221,7 +221,10 @@ def run_mlca(instance, config: MechanismConfig, seed: int = 0) -> AuctionOutcome
     round_logs = []
     solves: list = []
 
-    loss = efficiency_loss(solve_reported_wdp(reports).allocation, instance) if config.rounds else None
+    # before the first round, only the early-stop check reads the loss
+    loss = None
+    if config.rounds and config.early_stop:
+        loss = efficiency_loss(solve_reported_wdp(reports).allocation, instance)
     for r in range(config.rounds):
         if config.early_stop and loss == 0.0:
             log.info("round %d: zero efficiency loss, stopping early", r)

@@ -3,7 +3,9 @@
 Three solving routes, used to check each other:
 
 * ``brute_force_wdp`` -- exhaustive enumeration of every assignment of
-  items to bidders, the ground-truth oracle at desk scale,
+  items to bidders, the ground-truth oracle at desk scale.  It values each
+  bidder once per bundle, into a table of its 2^m values, and reads every
+  assignment's welfare from the tables,
 * ``solve_wdp`` -- a native branch-and-bound over item-to-bidder decisions.
   Each node evaluates every bidder on its undecided items with none, one
   or two of them removed, in one call; it branches on the item whose
@@ -31,18 +33,18 @@ INTEGRALITY_TOL = 1e-6
 FEASIBILITY_TOL = 1e-9
 WELFARE_TIE_TOL = 1e-9
 BRUTE_FORCE_LIMIT = 10**7
-# Assignments enumerated per vectorised batch.  A block holds a few (B, m)
-# arrays at once (the code/radix quotient, the digits and one bundle matrix
-# per bidder), so it is sized to stay in cache.  On a 2-vCPU VM, peak RSS
-# after the `fit-m18` benchmark's set-up (three n=1, m=18 instances; 30.5 MB
-# after import) was 37-39 MB for blocks of 1,024-4,096 rows, 42 MB for
-# 8,192, 48 MB for 16,384 and 83 MB for 65,536, and 4,096 rows was the
+# Rows per vectorised block, both when a bidder's bundles are valued into
+# its table and when the assignments are walked.  A valuation block holds a
+# (B, m) bundle matrix and the evaluator's scratch; a walk block holds a few
+# (B,) code and value arrays per bidder.  On a 2-vCPU VM, peak RSS after the
+# `fit-m18` benchmark's set-up (three n=1, m=18 instances, so no table;
+# 30.9 MB after import) was 37.2 MB for blocks of 1,024 rows, 37.5 MB for
+# 4,096, 39.7 MB for 16,384 and 50.9 MB for 65,536, and 4,096 rows was the
 # fastest.  A value kernel's result for a row can depend on the row's
-# position in its batch, so the block is a power of two: every row keeps
-# its position modulo the kernels' unroll widths, and the final partial
-# block holds the same tail rows, whatever the block size.  The optimum is
-# then bit-identical across block sizes, which a table of every bundle's
-# value per bidder would not be.
+# position in its batch, so the block is a power of two: bundle code c sits
+# at position c mod B, which keeps its position modulo the kernels' unroll
+# widths whatever the block size, and so the optimum is bit-identical
+# across block sizes.
 BRUTE_FORCE_CHUNK = 1 << 12
 
 
@@ -101,11 +103,59 @@ def _exclusion_sets(n: int, exclusions):
 # ---------------------------------------------------------------------------
 
 
+def _bundle_rows(codes: np.ndarray, m: int) -> np.ndarray:
+    """The (B, m) float64 0/1 bundles of B bundle codes (item j is bit j)."""
+    octets = codes.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=m, bitorder="little").astype(np.float64)
+
+
+def _code_blocks(total: int):
+    """0 .. total-1 in blocks of ``BRUTE_FORCE_CHUNK``."""
+    for start in range(0, total, BRUTE_FORCE_CHUNK):
+        yield np.arange(start, min(start + BRUTE_FORCE_CHUNK, total), dtype=np.int64)
+
+
+def _value_table(evaluate, m: int) -> np.ndarray:
+    """A bidder's values of all 2^m bundles, in bundle-code order."""
+    return np.concatenate([np.asarray(evaluate(_bundle_rows(c, m)), dtype=np.float64)
+                           for c in _code_blocks(1 << m)])
+
+
+def _half_codes(n: int, items: range) -> list[np.ndarray]:
+    """Per bidder, its bundle code within ``items`` under each assignment of
+    those items, indexed by the assignment's base-(n+1) code."""
+    digits = (np.arange((n + 1) ** len(items), dtype=np.int64)[:, None]
+              // (n + 1) ** np.arange(len(items), dtype=np.int64)) % (n + 1)
+    weights = 1 << np.array(items, dtype=np.int64)
+    return [((digits == i + 1) * weights).sum(axis=1) for i in range(n)]
+
+
+def _banned_codes(n: int, m: int, exclusions) -> list[np.ndarray | None]:
+    """Per bidder, the codes of its excluded bundles, or None without
+    exclusions.  An entry that is not m 0s and 1s matches no bundle."""
+    weights = 1 << np.arange(m, dtype=np.int64)
+    return [None if s is None else
+            np.array([b for b in s if len(b) == m and set(b) <= {0, 1}],
+                     dtype=np.int64).reshape(-1, m) @ weights
+            for s in _exclusion_sets(n, exclusions)]
+
+
 def brute_force_wdp(evaluators, m: int, exclusions=None) -> WdpSolution:
     """Enumerate all (n+1)^m assignments of each item to a bidder or nobody.
 
     ``evaluators[i]`` maps a (B, m) 0/1 array to (B,) values.  ``exclusions``
     is an optional per-bidder collection of forbidden bundles.
+
+    Each bidder is valued once per bundle.  Its 2^m values, and its
+    excluded bundles as a boolean mask, are tables in bundle-code order
+    (code = sum_j x_j 2^j), valued in blocks of ``BRUTE_FORCE_CHUNK``.  The
+    assignments are walked in base-(n+1) code order, in blocks of the same
+    size.  Assignment a splits at P = (n+1)^(m//2) into its low and high
+    items, so bidder i's bundle code is ``lo_i[a % P] | hi_i[a // P]``, and
+    the welfare sums the bidders' table entries in bidder order, from 0.0.
+    The tables hold n 2^m floats (2^m <= 16,384 once n >= 2 under
+    ``BRUTE_FORCE_LIMIT``).  With one bidder the assignments are the
+    bundles, so each block is valued as it is walked and no table is held.
     """
     n = len(evaluators)
     total = (n + 1) ** m
@@ -113,33 +163,37 @@ def brute_force_wdp(evaluators, m: int, exclusions=None) -> WdpSolution:
         raise UnsupportedSizeError(
             f"{total} assignments exceed the brute-force limit {BRUTE_FORCE_LIMIT}"
         )
-    excl = _exclusion_sets(n, exclusions)
-    radix = (n + 1) ** np.arange(m, dtype=np.int64)
+    banned = _banned_codes(n, m, exclusions)
+    if n == 1:
+        def bundles(a):  # a block's bundle codes, values and exclusion masks
+            return ([a], [evaluators[0](_bundle_rows(a, m))],
+                    [np.isin(a, b) for b in banned if b is not None])
+    else:
+        tables = [_value_table(ev, m) for ev in evaluators]
+        masks = [None if b is None else np.isin(np.arange(1 << m), b) for b in banned]
+        lo, hi = _half_codes(n, range(m // 2)), _half_codes(n, range(m // 2, m))
+
+        def bundles(a):
+            high, low = np.divmod(a, (n + 1) ** (m // 2))
+            codes = [l[low] | h[high] for l, h in zip(lo, hi)]
+            return (codes, [t[c] for t, c in zip(tables, codes)],
+                    [mask[c] for mask, c in zip(masks, codes) if mask is not None])
     best_w, best_alloc = None, None
-    for start in range(0, total, BRUTE_FORCE_CHUNK):
-        codes = np.arange(start, min(start + BRUTE_FORCE_CHUNK, total), dtype=np.int64)
-        digits = (codes[:, None] // radix[None, :]) % (n + 1)  # (B, m), 0 = nobody
-        welfare = np.zeros(len(codes))
-        bundles = []
-        feasible = None
-        for i in range(n):
-            X = (digits == i + 1).astype(np.float64)
-            bundles.append(X)
-            welfare += np.asarray(evaluators[i](X), dtype=np.float64)
-            if excl[i] is not None:
-                if feasible is None:
-                    feasible = np.ones(len(codes), dtype=bool)
-                for e in excl[i]:
-                    feasible &= ~(X == np.asarray(e, dtype=np.float64)).all(axis=1)
-        if feasible is not None:
-            welfare[~feasible] = -np.inf
-            if not feasible.any():
+    for a in _code_blocks(total):
+        codes, values, excluded = bundles(a)
+        welfare = np.zeros(len(a))
+        for v in values:
+            welfare += np.asarray(v, dtype=np.float64)
+        if excluded:
+            infeasible = np.logical_or.reduce(excluded)
+            welfare[infeasible] = -np.inf
+            if infeasible.all():
                 continue
         if best_w is not None and welfare.max() < best_w - WELFARE_TIE_TOL:
             continue
         cutoff = welfare.max() if best_w is None else max(welfare.max(), best_w)
         for idx in np.flatnonzero(welfare >= cutoff - WELFARE_TIE_TOL):
-            alloc = np.array([b[idx] for b in bundles], dtype=np.int64).reshape(n, m)
+            alloc = (np.array([c[idx] for c in codes], dtype=np.int64)[:, None] >> np.arange(m)) & 1
             flat = alloc.ravel()
             if _better(welfare[idx], flat, best_w, None if best_alloc is None else best_alloc.ravel()):
                 best_w, best_alloc = float(welfare[idx]), alloc

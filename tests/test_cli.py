@@ -83,6 +83,14 @@ class TestCli:
         with pytest.raises(ia.InvalidInputError, match="full-bundle report"):
             main(["train", "--reports", str(rp), "--epochs", "5"])
 
+    @pytest.mark.parametrize("doc, message", [({}, r"missing required keys \['reports'\]"),
+                                              ([[[1, 1], 1.0]], "must be a JSON object")])
+    def test_train_rejects_a_file_without_reports(self, tmp_path, doc, message):
+        rp = tmp_path / "reports.json"
+        rp.write_text(json.dumps(doc))
+        with pytest.raises(ia.InvalidInputError, match=message):
+            main(["train", "--reports", str(rp), "--epochs", "5"])
+
     def test_export_milp_lp_text(self, tmp_path):
         nets = [init_params([3, 3, 1], InitHyper(), seed=k) for k in range(2)]
         np_path = tmp_path / "nets.json"

@@ -78,6 +78,17 @@ class TestReportSet:
         back = ia.ReportSet.from_json_obj(json.loads(json.dumps(rs.to_json_obj())))
         assert back.value_of(1, [0, 1]) == 0.25
 
+    @pytest.mark.parametrize("key", ["n", "m", "reports"])
+    def test_json_without_a_key_is_rejected_naming_it(self, key):
+        obj = {"n": 1, "m": 2, "reports": [[[[1, 1], 1.0]]]}
+        del obj[key]
+        with pytest.raises(InvalidInputError, match=rf"missing required keys \['{key}'\]"):
+            ia.ReportSet.from_json_obj(obj)
+
+    def test_json_that_is_not_an_object_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="must be a JSON object"):
+            ia.ReportSet.from_json_obj([[[[1, 1], 1.0]]])
+
     def test_reported_welfare_ignores_unreported(self):
         rs = ia.ReportSet(2, 2)
         rs.add(0, [1, 0], 0.6)
@@ -96,6 +107,7 @@ MALFORMED = {
     "a NaN value": [([1, 1, 1, 1], float("nan"))],
     "an infinite value": [([1, 1, 1, 1], float("inf"))],
     "an empty bundle at a non-zero value": [FULL, ([0, 0, 0, 0], 0.5)],
+    "a bundle reported twice": [FULL, ([1, 1, 0, 0], 1.0), ([1, 0, 0, 0], 0.5), ([1, 1, 0, 0], 1.5)],
 }
 
 

@@ -277,6 +277,24 @@ class TestRunMlca:
         assert reused
         assert out.nonoptimal_queries == 0
 
+    @pytest.mark.parametrize("early_stop", [False, True])
+    def test_reported_wdp_before_the_first_round_only_for_early_stop(self, monkeypatch,
+                                                                     early_stop):
+        # one reported WDP per round run and 1 + n for VCG, plus one before the
+        # first round when the early-stop check reads its loss
+        solves = []
+        solve = mechanism.solve_reported_wdp
+
+        def counted(reports):
+            solves.append(reports.n)
+            return solve(reports)
+
+        monkeypatch.setattr(mechanism, "solve_reported_wdp", counted)
+        inst = ia.generate_instance(ia.GeneratorConfig(n=3, m=5), seed=4)
+        out = run_mlca(inst, _fast_config(acquisition="random", early_stop=early_stop), seed=4)
+        assert out.rounds_run == 2
+        assert solves == [3] * (early_stop + out.rounds_run + 1) + [2] * 3
+
     def test_config_json_round_trip(self):
         import json
 

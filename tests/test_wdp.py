@@ -29,6 +29,8 @@ from iterauction.wdp import (
     solve_wdp,
 )
 
+from _reference_wdp import reference_brute_force_wdp
+
 
 def random_nets(n, m, rng, hidden=(4,), skip=False):
     return [
@@ -63,7 +65,7 @@ class TestBruteForce:
 # The former 65,536-row block and today's cache-sized one.  Sizes keep
 # n <= 4, m <= 12 and at most 2^18 assignments: up to four old blocks.
 _BLOCKS = (1 << 16, wdp.BRUTE_FORCE_CHUNK)
-_MAX_M = {1: 12, 2: 11, 3: 9, 4: 7}
+_MAX_M = {0: 12, 1: 12, 2: 11, 3: 9, 4: 7}
 
 
 def _at_each_block(solve):
@@ -79,8 +81,8 @@ def _optimum(allocation, objective):
 
 
 @st.composite
-def brute_force_sizes(draw):
-    n = draw(st.integers(1, 4))
+def brute_force_sizes(draw, min_n=1):
+    n = draw(st.integers(min_n, 4))
     return n, draw(st.integers(1, _MAX_M[n]))
 
 
@@ -120,6 +122,55 @@ class TestBruteForceBlocks:
                     for _ in range(n)]
         old, new = _at_each_block(lambda: brute_force_wdp(evs, m, exclusions=excl))
         assert _optimum(old.allocation, old.objective) == _optimum(new.allocation, new.objective)
+
+
+def _solution_bits(solve):
+    """A solve's allocation bytes, objective bits and node count, or its
+    error message."""
+    try:
+        sol = solve()
+    except InvalidInputError as e:
+        return str(e)
+    a = sol.allocation
+    return a.shape, a.dtype.str, a.tobytes(), np.float64(sol.objective).tobytes(), sol.nodes
+
+
+class TestBruteForceReference:
+    """Valuing each bidder once per bundle gives the row-by-row enumeration's
+    optimum, bit for bit."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(brute_force_sizes(min_n=0),
+           st.lists(st.sampled_from([*KINDS, "net", "skip-net"]), min_size=1, max_size=4),
+           st.sampled_from(["none", "random", "every bundle"]), st.integers(0, 2**31 - 1))
+    @example((2, 11), ["additive", "net"], "random", 1)  # a partial final block
+    @example((1, 18), ["pairwise-synergy"], "random", 2)
+    @example((1, 18), ["coverage"], "none", 3)
+    @example((3, 9), ["skip-net", "coverage", "net"], "random", 4)
+    @example((0, 4), ["net"], "every bundle", 5)  # no bidder, nothing to exclude
+    def test_matches_row_by_row_enumeration(self, size, sources, exclude, seed):
+        n, m = size
+        if exclude == "every bundle":
+            m = min(m, 6)  # the reference tests each excluded bundle on every row
+        rng = np.random.default_rng(seed)
+        cfg = ia.GeneratorConfig(n=max(n, 1), m=m)
+        evs = []
+        for i in range(n):
+            source = sources[i % len(sources)]
+            if source in KINDS:
+                evs.append(_random_model(source, m, cfg, rng).value_batch)
+            else:
+                evs.append(random_nets(1, m, rng, skip=source == "skip-net")[0].forward)
+        excl = None
+        if exclude == "random":  # the full bundle and a few random ones, per bidder or not
+            excl = [None if rng.random() < 0.3 else
+                    [np.ones(m, dtype=np.int64), *rng.integers(0, 2, (3, m))] for _ in range(n)]
+        elif exclude == "every bundle":  # the first bidder gets nothing, not even the empty bundle
+            excl = [list(itertools.product((0, 1), repeat=m))] + [None] * (n - 1)
+        got = _solution_bits(lambda: brute_force_wdp(evs, m, exclusions=excl))
+        assert got == _solution_bits(lambda: reference_brute_force_wdp(evs, m, exclusions=excl))
+        if exclude == "every bundle" and n:
+            assert got == "exclusions rule out every assignment"
 
 
 class TestBranchAndBound:
