@@ -41,7 +41,6 @@ from .mvnn import (
     InitHyper,
     MvnnParams,
     init_params,
-    init_params_generic,
     mixture_params,
 )
 from .training import TrainHyper, smooth_l1, train_mean
@@ -98,7 +97,6 @@ __all__ = [
     "generate_instance",
     "hpo_metric",
     "init_params",
-    "init_params_generic",
     "initial_queries",
     "is_feasible",
     "max_monotone_extension",

@@ -28,7 +28,6 @@ from .uub import NomuHyper, build_exact_uub, train_uub
 from .values import GeneratorConfig, generate_instance
 from .wdp import SolveBudget, emit_lp_file, encode_milp, solve_wdp
 from .domain import AuctionInstance, dataclass_from_json, require_keys
-from .errors import InvalidInputError
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
@@ -55,8 +54,6 @@ def _cmd_train(args) -> int:
     obj = json.loads(Path(args.reports).read_text())
     require_keys(obj, ["reports"], "reports file")
     reports = obj["reports"]
-    if not reports:
-        raise InvalidInputError("no reports: need at least the full-bundle report")
     exact = build_exact_uub(reports)  # checks the reports
     dims = [exact.m, *(int(d) for d in args.hidden_dims.split(","))] + [1]
     mean = train_mean(reports, dims, InitHyper(), TrainHyper(epochs=args.epochs), seed=args.seed)
@@ -90,6 +87,7 @@ def _cmd_solve_wdp(args) -> int:
 
 def _cmd_export_milp(args) -> int:
     obj = json.loads(Path(args.networks).read_text())
+    require_keys(obj, ["networks"], "networks file")
     nets = [MvnnParams.from_json_obj(doc) for doc in obj["networks"]]
     model = encode_milp(nets, prune=not args.no_prune)
     _write_or_print(emit_lp_file(model), args.out)
@@ -133,6 +131,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_hpo_metric(args) -> int:
     obj = json.loads(Path(args.data).read_text())
+    require_keys(obj, ["predictions", "targets", "train_mae"], "hpo-metric data file")
     score = hpo_metric(
         np.asarray(obj["predictions"]), np.asarray(obj["targets"]),
         float(obj["train_mae"]), q=args.q,

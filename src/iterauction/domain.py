@@ -193,8 +193,15 @@ class ReportSet:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ReportSet":
         require_keys(obj, ["n", "m", "reports"], "report set")
-        rs = cls(obj["n"], obj["m"])
-        for i, pairs in enumerate(obj["reports"]):
+        n, m, reports = obj["n"], obj["m"], obj["reports"]
+        for key, value in (("n", n), ("m", m)):
+            if not _json_type_ok(value, int):
+                raise InvalidInputError(f"report set key {key!r} must be an int, got {value!r}")
+        if not (isinstance(reports, list) and len(reports) == n
+                and all(isinstance(pairs, list) for pairs in reports)):
+            raise InvalidInputError(f"report set key 'reports' must be a list of {n} lists")
+        rs = cls(n, m)
+        for i, pairs in enumerate(reports):
             for b, v in pairs:
                 rs.add(i, b, v)
         return rs
@@ -247,6 +254,8 @@ class AuctionInstance:
         from .values import ValueModel
 
         obj = json.loads(text)
+        require_keys(obj, ["n", "m", "bidders", "optimal_allocation", "optimal_welfare"],
+                     "instance")
         return cls(
             n=obj["n"],
             m=obj["m"],

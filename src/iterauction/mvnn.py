@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import require_keys
 from .errors import InvalidInputError
 
 
@@ -145,6 +146,7 @@ class MvnnParams:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MvnnParams":
+        require_keys(obj, ["weights", "biases", "cutoffs"], "network")
         return cls(
             weights=[np.asarray(W) for W in obj["weights"]],
             biases=[np.asarray(b) for b in obj["biases"]],
@@ -308,25 +310,6 @@ def init_params(
             cutoffs.append(np.maximum(t, 1e-3))
     skip_w = rng.uniform(0.0, 1.0 / layer_dims[0], size=layer_dims[0]) if skip else None
     return MvnnParams(weights=weights, biases=biases, cutoffs=cutoffs, skip=skip_w)
-
-
-def init_params_generic(
-    layer_dims: list[int],
-    cutoff_range: tuple[float, float] = (0.0, 1.0),
-    seed: int | np.random.Generator = 0,
-) -> MvnnParams:
-    """Fan-in 1/sqrt(d) uniform initialization folded onto the non-negative
-    axis; the classic scaling whose pre-activations blow past the cutoffs."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    lo, hi = cutoff_range
-    weights, biases, cutoffs = [], [], []
-    for k in range(1, len(layer_dims)):
-        d_out, d_prev = layer_dims[k], layer_dims[k - 1]
-        weights.append(rng.uniform(0.0, 2.0 / np.sqrt(d_prev), size=(d_out, d_prev)))
-        if k < len(layer_dims) - 1:
-            biases.append(np.zeros(d_out))
-            cutoffs.append(np.maximum(rng.uniform(lo, hi, size=d_out), 1e-3))
-    return MvnnParams(weights=weights, biases=biases, cutoffs=cutoffs)
 
 
 def random_containment_pair(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

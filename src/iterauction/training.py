@@ -207,15 +207,10 @@ def _regularised(params: MvnnParams) -> np.ndarray:
 
 
 def _add_l2(g: Grads, theta: np.ndarray, lam: float) -> None:
-    """Add 2 * lam * theta, the gradient of ``_l2_penalty``, to the same
-    prefix of ``g.flat``, for ``theta`` as ``_regularised``."""
+    """Add 2 * lam * theta, the gradient of the penalty lam * ||theta||^2,
+    to the same prefix of ``g.flat``, for ``theta`` as ``_regularised``."""
     if lam != 0:
         g.flat[: theta.size] += 2 * lam * theta
-
-
-def _l2_penalty(theta: np.ndarray, lam: float) -> float:
-    """lam * ||theta||^2."""
-    return 0.0 if lam == 0 else lam * float(theta @ theta)
 
 
 class Adam:
@@ -288,16 +283,6 @@ def _mean_data_grads(g: Grads, params: MvnnParams, X, y, hyper: TrainHyper):
     out_grad = smooth_l1_grad(out, y, hyper.smooth_l1_beta) / X.shape[0]
     _backward(g, params, X, O, Z, out_grad)
     return out
-
-
-def mean_loss_and_grads(params: MvnnParams, X, y, hyper: TrainHyper):
-    """Smooth-L1 data loss (batch mean) plus L2 penalty, with gradients."""
-    g = Grads.zeros_like(params)
-    out = _mean_data_grads(g, params, X, y, hyper)
-    data = float(smooth_l1(out, y, hyper.smooth_l1_beta).mean())
-    theta = _regularised(params)
-    _add_l2(g, theta, hyper.l2_lambda)
-    return data + _l2_penalty(theta, hyper.l2_lambda), g
 
 
 def r_squared(pred: np.ndarray, y: np.ndarray) -> float:
@@ -396,5 +381,4 @@ def train_mean(
         retry, retry_mae = attempt(seed + 1)
         if retry_mae < best_mae:
             best = retry
-    best.validate()
     return best

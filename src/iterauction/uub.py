@@ -24,16 +24,13 @@ from .mvnn import MvnnParams, forward_cache, init_params
 from .training import (
     Grads,
     TrainHyper,
-    _add_l2,
     _backward,
     _best_epoch,
     _epoch_draws,
     _huber,
     _huber_slope,
-    _l2_penalty,
     _layout_of,
     _net,
-    _regularised,
     _sum,
     _train_loop,
 )
@@ -144,13 +141,14 @@ class NomuHyper:
 
 
 def _loss_terms(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta: float,
-                grads: bool = True, values: bool = True) -> dict:
+                grads: bool) -> dict:
     """Each loss term as (value, d/d out_tr, d/d out_art), in summation
-    order.  A gradient is 0.0 where the term does not depend on that
-    output; every gradient is 0.0 when ``grads`` is false, and every value
-    0.0 when ``values`` is false.  Outputs with a leading stack axis, (E, n)
-    and (E, n_art), give each value as (E,): sums run along the last axis."""
+    order.  With ``grads`` every value is 0.0 and a gradient is 0.0 where
+    the term does not depend on that output; without, every gradient is
+    0.0.  Outputs with a leading stack axis, (E, n) and (E, n_art), give
+    each value as (E,): sums run along the last axis."""
     n_art = out_art.shape[-1]
+    values = not grads
 
     def hinge(excess, pi, sign):
         # soft penalty on the positive part of `excess`; d excess/d out_art = sign
@@ -211,50 +209,26 @@ def nomu_loss(
 
 
 def _nomu_pass(uub_net, XA, n, y, mean_art, exact_art, hyper: NomuHyper, beta: float,
-               g: Grads | None = None, values: bool = True, only_term: str | None = None) -> dict:
+               g: Grads | None = None) -> dict:
     """The loss terms of ``uub_net`` on ``XA``, the n reports followed by
     the artificial points, from one forward pass, as ``_loss_terms`` gives
-    them; of a stack of nets on a shared ``XA``, each value per net.  With
-    ``g`` (a single net only), also write into it the gradients of the loss
-    without L2 (of ``only_term`` alone if given)."""
+    them: without ``g``, their values (of a stack of nets on a shared
+    ``XA``, each value per net); with ``g`` (a single net only), their
+    gradients, and the gradients of the loss without L2 written into ``g``."""
     blocks = (n, XA.shape[-2] - n)
     out, O, Z = forward_cache(uub_net, XA, blocks)
     terms = _loss_terms(out[..., :n], out[..., n:], y, mean_art, exact_art, hyper, beta,
-                        grads=g is not None, values=values)
+                        grads=g is not None)
     if g is not None:
         gout = np.zeros_like(out)
-        for name, (_, d_tr, d_art) in terms.items():
-            if only_term in (None, name):
-                # a term's scalar 0.0 is skipped: it would change no entry, as
-                # sums that start at +0.0 never reach -0.0
-                for part, d in ((gout[:n], d_tr), (gout[n:], d_art)):
-                    if isinstance(d, np.ndarray):
-                        part += d
+        for _, d_tr, d_art in terms.values():
+            # a term's scalar 0.0 is skipped: it would change no entry, as
+            # sums that start at +0.0 never reach -0.0
+            for part, d in ((gout[:n], d_tr), (gout[n:], d_art)):
+                if isinstance(d, np.ndarray):
+                    part += d
         _backward(g, uub_net, XA, O, Z, gout, blocks)
     return terms
-
-
-def nomu_loss_and_grads(uub_net: MvnnParams, mean_net: MvnnParams, exact_net: MvnnParams, X, y,
-                        X_art, hyper: NomuHyper, train_hyper: TrainHyper,
-                        only_term: str | None = None):
-    """Loss and parameter gradients for the learned upper bound.
-
-    Only ``uub_net`` receives gradients.  ``only_term`` restricts the result
-    to a single named term (no L2), used by the finite-difference checks.
-    """
-    g = Grads.zeros_like(uub_net)
-    terms = _nomu_pass(uub_net, np.concatenate([X, X_art]), X.shape[0], y,
-                       mean_net.forward(X_art), exact_net.forward(X_art), hyper,
-                       train_hyper.smooth_l1_beta, g=g, only_term=only_term)
-    loss = 0.0
-    for name, (value, _, _) in terms.items():
-        if only_term in (None, name):
-            loss += value
-    if only_term is None:
-        theta = _regularised(uub_net)
-        _add_l2(g, theta, train_hyper.l2_lambda)
-        loss += _l2_penalty(theta, train_hyper.l2_lambda)
-    return loss, g
 
 
 def _frozen_outputs(net: MvnnParams, arts: np.ndarray) -> np.ndarray:
@@ -308,7 +282,7 @@ def train_uub(reports: list[tuple[np.ndarray, float]], mean_net: MvnnParams, exa
     batches = zip(XA, y[perms], _frozen_outputs(mean_net, arts), _frozen_outputs(exact_net, arts))
 
     def batch_grads(g, p, xa, yb, mean_art, exact_art):
-        _nomu_pass(p, xa, n, yb, mean_art, exact_art, nomu_hyper, beta, g=g, values=False)
+        _nomu_pass(p, xa, n, yb, mean_art, exact_art, nomu_hyper, beta, g=g)
 
     thetas = _train_loop(params, train_hyper, batches, batch_grads)
     layout = _layout_of(params)

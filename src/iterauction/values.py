@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .domain import AuctionInstance, as_bundle, dataclass_from_json
+from .domain import AuctionInstance, as_bundle, dataclass_from_json, require_keys
 from .errors import InvalidInputError, UnsupportedSizeError
 
 KINDS = ("additive", "pairwise-synergy", "coverage")
@@ -83,7 +83,9 @@ class ValueModel:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ValueModel":
+        require_keys(obj, ["type", "params"], "value model")
         p = obj["params"]
+        require_keys(p, ["base", "synergy", "normalizer"], "value model params")
         return cls(
             kind=obj["type"],
             base=np.asarray(p["base"], dtype=np.float64),

@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedSizeError
-from .mvnn import MvnnParams, forward_cache
+from .mvnn import MvnnParams
 
 INTEGRALITY_TOL = 1e-6
-FEASIBILITY_TOL = 1e-9
 WELFARE_TIE_TOL = 1e-9
 BRUTE_FORCE_LIMIT = 10**7
 # Rows per vectorised block, both when a bidder's bundles are valued into
@@ -480,17 +479,6 @@ def box_bounds(params: MvnnParams) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def lemma_assignment(o: float, t: float) -> tuple[int, int]:
-    """Feasible binary pair for a neuron with pre-activation o and cutoff t:
-    below zero both off, in the linear band only the upper indicator on,
-    saturated both on."""
-    if o < 0:
-        return 0, 0
-    if o <= t:
-        return 1, 0
-    return 1, 1
-
-
 @dataclass
 class WdpModel:
     """A mixed-integer maximization over indexed columns: rows and the
@@ -643,27 +631,6 @@ def _matrix(model: WdpModel):
     A = csr_array((data, indices, indptr), shape=(len(model.constraints), len(c)))
     row_lb, row_ub = np.array([row[2:] for row in model.constraints]).reshape(-1, 2).T
     return c, A, row_lb, row_ub
-
-
-def check_encoding_at(net: MvnnParams, bundle: np.ndarray) -> bool:
-    """Check the unpruned encoding of ``net`` at one bundle: with the
-    allocation set to the bundle, each neuron's z to its clipped
-    pre-activation and its indicators to :func:`lemma_assignment`, every row
-    and every variable bound of ``encode_milp([net], prune=False)`` holds
-    within FEASIBILITY_TOL."""
-    model = encode_milp([net], prune=False)
-    _, O, Z = forward_cache(net, np.asarray(bundle, dtype=np.float64).reshape(1, -1))
-    values = list(Z[0][0])
-    for k, (o, z) in enumerate(zip(O, Z[1:])):
-        for j in range(o.shape[1]):
-            # unpruned, each neuron adds its columns z, alpha, beta in order
-            values += [z[0, j], *lemma_assignment(float(o[0, j]), float(net.cutoffs[k][j]))]
-    x = np.array(values)
-    _, A, row_lb, row_ub = _matrix(model)
-    vals = np.concatenate([A @ x, x])
-    lo = np.concatenate([row_lb, model.var_lb]) - FEASIBILITY_TOL
-    hi = np.concatenate([row_ub, model.var_ub]) + FEASIBILITY_TOL
-    return bool(((vals >= lo) & (vals <= hi)).all())
 
 
 def solve_model(model: WdpModel) -> tuple[np.ndarray, float, float]:

@@ -1,6 +1,19 @@
-"""Shared finite-difference gradient checking utilities for the tests."""
+"""Shared finite-difference gradient checking utilities for the tests, and
+the loss-with-gradient entry points they check: the library computes loss
+values and gradients in separate passes, and these put the two together."""
 
 import numpy as np
+
+from iterauction.mvnn import forward_cache
+from iterauction.training import (
+    Grads,
+    _add_l2,
+    _backward,
+    _mean_data_grads,
+    _regularised,
+    smooth_l1,
+)
+from iterauction.uub import _loss_terms, _nomu_pass, nomu_loss_terms
 
 FD_EPS = 1e-6
 KINK_MARGIN = 1e-4
@@ -55,3 +68,45 @@ def residuals_kink_free(values, targets, beta) -> bool:
     if (np.abs(np.abs(r) - beta) < KINK_MARGIN).any():
         return False
     return not (np.abs(r) < KINK_MARGIN).any()
+
+
+def _l2_penalty(theta, lam: float) -> float:
+    """lam * ||theta||^2, the penalty whose gradient ``_add_l2`` adds."""
+    return 0.0 if lam == 0 else lam * float(theta @ theta)
+
+
+def mean_loss_and_grads(params, X, y, hyper):
+    """Smooth-L1 data loss (batch mean) plus L2 penalty, with gradients."""
+    g = Grads.zeros_like(params)
+    out = _mean_data_grads(g, params, X, y, hyper)
+    data = float(smooth_l1(out, y, hyper.smooth_l1_beta).mean())
+    theta = _regularised(params)
+    _add_l2(g, theta, hyper.l2_lambda)
+    return data + _l2_penalty(theta, hyper.l2_lambda), g
+
+
+def nomu_loss_and_grads(uub_net, mean_net, exact_net, X, y, X_art, hyper, train_hyper,
+                        only_term=None):
+    """Learned-bound loss and its gradients for ``uub_net`` alone: the total
+    with L2, or the one term ``only_term`` without it.  The total's
+    gradients come from the training pass ``_nomu_pass(..., g=g)``; one
+    term's from its ``_loss_terms`` gradients through ``_backward``."""
+    beta = train_hyper.smooth_l1_beta
+    terms = nomu_loss_terms(uub_net, mean_net, exact_net, X, y, X_art, hyper, beta)
+    g = Grads.zeros_like(uub_net)
+    XA, n = np.concatenate([X, X_art]), X.shape[0]
+    mean_art, exact_art = mean_net.forward(X_art), exact_net.forward(X_art)
+    if only_term is None:
+        _nomu_pass(uub_net, XA, n, y, mean_art, exact_art, hyper, beta, g=g)
+        theta = _regularised(uub_net)
+        _add_l2(g, theta, train_hyper.l2_lambda)
+        return sum(terms.values()) + _l2_penalty(theta, train_hyper.l2_lambda), g
+    blocks = (n, len(X_art))
+    out, O, Z = forward_cache(uub_net, XA, blocks)
+    _, d_tr, d_art = _loss_terms(out[:n], out[n:], y, mean_art, exact_art, hyper, beta,
+                                 grads=True)[only_term]
+    gout = np.zeros_like(out)
+    gout[:n] += d_tr
+    gout[n:] += d_art
+    _backward(g, uub_net, XA, O, Z, gout, blocks)
+    return terms[only_term], g

@@ -12,22 +12,27 @@ from iterauction.mechanism import MechanismConfig, run_mlca, vcg_payments
 from iterauction.mvnn import (
     InitHyper,
     init_params,
-    init_params_generic,
     mixture_params,
     random_containment_pair,
     sample_mixture,
 )
-from iterauction.training import TrainHyper, mean_loss_and_grads, train_mean
-from iterauction.uub import NomuHyper, build_exact_uub, max_monotone_extension, nomu_loss_and_grads, train_uub
+from iterauction.training import TrainHyper, train_mean
+from iterauction.uub import NomuHyper, build_exact_uub, max_monotone_extension, train_uub
 from iterauction.wdp import (
     SolveBudget,
     brute_force_wdp,
-    check_encoding_at,
     milp_wdp,
     solve_wdp,
 )
 
-from _gradcheck import preactivations_kink_free, residuals_kink_free, worst_relative_error
+from _gradcheck import (
+    mean_loss_and_grads,
+    nomu_loss_and_grads,
+    preactivations_kink_free,
+    residuals_kink_free,
+    worst_relative_error,
+)
+from _oracles import check_encoding_at, init_params_generic
 
 
 def _report(name, ok, detail):

@@ -80,7 +80,7 @@ class TestCli:
     def test_train_rejects_an_empty_report_list(self, tmp_path):
         rp = tmp_path / "reports.json"
         rp.write_text(json.dumps({"reports": []}))
-        with pytest.raises(ia.InvalidInputError, match="full-bundle report"):
+        with pytest.raises(ia.InvalidInputError, match="need at least one"):
             main(["train", "--reports", str(rp), "--epochs", "5"])
 
     @pytest.mark.parametrize("doc, message", [({}, r"missing required keys \['reports'\]"),
@@ -90,6 +90,22 @@ class TestCli:
         rp.write_text(json.dumps(doc))
         with pytest.raises(ia.InvalidInputError, match=message):
             main(["train", "--reports", str(rp), "--epochs", "5"])
+
+    @pytest.mark.parametrize("command, flag, message", [
+        ("export-milp", "--networks", r"networks file is missing required keys \['networks'\]"),
+        ("hpo-metric", "--data", r"hpo-metric data file is missing required keys "
+                                 r"\['predictions', 'targets', 'train_mae'\]"),
+        ("solve-wdp", "--instance", r"instance is missing required keys \['n', "),
+        ("run-mlca", "--instance", r"instance is missing required keys \['n', "),
+    ])
+    @pytest.mark.parametrize("doc", [{}, [1, 2]])
+    def test_commands_reject_a_file_without_their_keys(self, tmp_path, command, flag, message,
+                                                       doc):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        expected = message if doc == {} else "must be a JSON object"
+        with pytest.raises(ia.InvalidInputError, match=expected):
+            main([command, flag, str(path)])
 
     def test_export_milp_lp_text(self, tmp_path):
         nets = [init_params([3, 3, 1], InitHyper(), seed=k) for k in range(2)]

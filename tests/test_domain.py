@@ -89,6 +89,18 @@ class TestReportSet:
         with pytest.raises(InvalidInputError, match="must be a JSON object"):
             ia.ReportSet.from_json_obj([[[[1, 1], 1.0]]])
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"n": "2", "m": 2, "reports": [[], []]}, "'n' must be an int"),
+        ({"n": True, "m": 2, "reports": [[]]}, "'n' must be an int"),
+        ({"n": 1, "m": 2.0, "reports": [[]]}, "'m' must be an int"),
+        ({"n": 2, "m": 2, "reports": 5}, "list of 2 lists"),
+        ({"n": 2, "m": 2, "reports": [[[[1, 1], 1.0]]]}, "list of 2 lists"),
+        ({"n": 1, "m": 2, "reports": [5]}, "list of 1 lists"),
+    ])
+    def test_json_with_mistyped_or_short_values_is_rejected(self, obj, message):
+        with pytest.raises(InvalidInputError, match=message):
+            ia.ReportSet.from_json_obj(obj)
+
     def test_reported_welfare_ignores_unreported(self):
         rs = ia.ReportSet(2, 2)
         rs.add(0, [1, 0], 0.6)
@@ -161,6 +173,11 @@ class TestEfficiencyLoss:
         inst.optimal_welfare = 0.0
         with pytest.raises(DegenerateInstanceError):
             ia.efficiency_loss(ia.empty_allocation(2, 4), inst)
+
+    def test_instance_json_without_its_keys_is_rejected_naming_them(self):
+        with pytest.raises(InvalidInputError, match=r"instance is missing required keys "
+                           r"\['n', 'm', 'bidders', 'optimal_allocation', 'optimal_welfare'\]"):
+            ia.AuctionInstance.from_json("{}")
 
     def test_instance_json_round_trip(self):
         inst = ia.generate_instance(ia.GeneratorConfig(n=2, m=4), seed=3)

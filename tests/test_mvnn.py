@@ -10,12 +10,13 @@ from iterauction.mvnn import (
     MvnnParams,
     forward_cache,
     init_params,
-    init_params_generic,
     mixture_params,
     random_containment_pair,
     sample_mixture,
 )
 from iterauction.training import _layout_of, _net
+
+from _oracles import init_params_generic
 
 
 class TestParams:
@@ -75,6 +76,11 @@ class TestParams:
         p.cutoffs[0][1] = np.nan
         with pytest.raises(InvalidInputError):
             p.forward(np.ones(3))
+
+    def test_json_without_its_keys_is_rejected_naming_them(self):
+        with pytest.raises(InvalidInputError, match=r"network is missing required keys "
+                           r"\['weights', 'biases', 'cutoffs'\]"):
+            MvnnParams.from_json_obj({"skip": None})
 
     def test_json_round_trip(self):
         p = init_params([4, 3, 1], InitHyper(), seed=2, skip=True)

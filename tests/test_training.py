@@ -24,7 +24,6 @@ from iterauction.training import (
     _mean_data_grads,
     _net,
     _train_loop,
-    mean_loss_and_grads,
     r_squared,
     smooth_l1,
     smooth_l1_grad,
@@ -34,11 +33,16 @@ from iterauction.uub import (
     LOSS_VARIANTS,
     NomuHyper,
     build_exact_uub,
-    nomu_loss_and_grads,
     train_uub,
 )
 
-from _gradcheck import param_arrays, preactivations_kink_free, worst_relative_error
+from _gradcheck import (
+    mean_loss_and_grads,
+    nomu_loss_and_grads,
+    param_arrays,
+    preactivations_kink_free,
+    worst_relative_error,
+)
 from _reference_training import (
     piecewise_smooth_l1,
     piecewise_smooth_l1_grad,

@@ -34,6 +34,16 @@ class TestHandValues:
         for x in ([0, 1], [1, 0], [1, 1]):
             assert back.value(x) == vm.value(x)
 
+    @pytest.mark.parametrize("obj, message", [
+        ({}, r"value model is missing required keys \['type', 'params'\]"),
+        ({"type": "additive", "params": {}},
+         r"value model params is missing required keys \['base', 'synergy', 'normalizer'\]"),
+        ({"type": "additive", "params": [0.5]}, "value model params must be a JSON object"),
+    ])
+    def test_json_without_its_keys_is_rejected_naming_them(self, obj, message):
+        with pytest.raises(InvalidInputError, match=message):
+            ValueModel.from_json_obj(obj)
+
 
 @st.composite
 def model_and_pair(draw):

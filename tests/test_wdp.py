@@ -18,10 +18,8 @@ from iterauction.wdp import (
     SolveBudget,
     box_bounds,
     brute_force_wdp,
-    check_encoding_at,
     emit_lp_file,
     encode_milp,
-    lemma_assignment,
     milp_wdp,
     parse_lp_file,
     solve_model,
@@ -29,6 +27,7 @@ from iterauction.wdp import (
     solve_wdp,
 )
 
+from _oracles import check_encoding_at, lemma_assignment
 from _reference_wdp import reference_brute_force_wdp
 
 
