@@ -49,6 +49,13 @@ def require_keys(obj, keys, what: str) -> None:
         raise InvalidInputError(f"{what} is missing required keys {missing}")
 
 
+def _require_ints(obj: dict, keys, what: str) -> None:
+    """Check that each of ``keys`` holds a JSON int (not a bool)."""
+    for key in keys:
+        if not _json_type_ok(obj[key], int):
+            raise InvalidInputError(f"{what} key {key!r} must be an int, got {obj[key]!r}")
+
+
 def dataclass_from_json(cls, obj: dict, what: str):
     """``cls(**obj)`` for a JSON object: dataclass-typed fields are read
     recursively, and bool, int, float, str, list and typed tuple fields
@@ -193,17 +200,18 @@ class ReportSet:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ReportSet":
         require_keys(obj, ["n", "m", "reports"], "report set")
+        _require_ints(obj, ["n", "m"], "report set")
         n, m, reports = obj["n"], obj["m"], obj["reports"]
-        for key, value in (("n", n), ("m", m)):
-            if not _json_type_ok(value, int):
-                raise InvalidInputError(f"report set key {key!r} must be an int, got {value!r}")
         if not (isinstance(reports, list) and len(reports) == n
                 and all(isinstance(pairs, list) for pairs in reports)):
             raise InvalidInputError(f"report set key 'reports' must be a list of {n} lists")
         rs = cls(n, m)
         for i, pairs in enumerate(reports):
-            for b, v in pairs:
-                rs.add(i, b, v)
+            for pair in pairs:
+                if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                    raise InvalidInputError(
+                        f"bidder {i}'s report {pair!r} is not a [bundle, value] pair")
+                rs.add(i, *pair)
         return rs
 
 
@@ -256,11 +264,19 @@ class AuctionInstance:
         obj = json.loads(text)
         require_keys(obj, ["n", "m", "bidders", "optimal_allocation", "optimal_welfare"],
                      "instance")
+        _require_ints(obj, ["n", "m"], "instance")
+        n, m, bidders = obj["n"], obj["m"], obj["bidders"]
+        if not (isinstance(bidders, list) and len(bidders) == n):
+            raise InvalidInputError(f"instance key 'bidders' must be a list of n={n} value models")
+        values = [ValueModel.from_json_obj(b) for b in bidders]
+        for i, vm in enumerate(values):
+            if vm.m != m:
+                raise InvalidInputError(f"bidder {i}'s value model has {vm.m} items, not m={m}")
         return cls(
-            n=obj["n"],
-            m=obj["m"],
-            values=[ValueModel.from_json_obj(b) for b in obj["bidders"]],
-            optimal_allocation=as_allocation(obj["optimal_allocation"]),
+            n=n,
+            m=m,
+            values=values,
+            optimal_allocation=as_allocation(obj["optimal_allocation"], n=n, m=m),
             optimal_welfare=float(obj["optimal_welfare"]),
             seed=obj.get("seed"),
             generator_config=obj.get("generator_config", {}),

@@ -20,6 +20,8 @@ import numpy as np
 from .domain import require_keys
 from .errors import InvalidInputError
 
+CUTOFF_FLOOR = 1e-3  # the lowest cutoff, at initialisation and after each training step
+
 
 @dataclass
 class MvnnParams:
@@ -307,7 +309,7 @@ def init_params(
         if k < len(layer_dims) - 1:
             biases.append(-rng.uniform(0.0, hyper.bias_init, size=d_out))
             t = rng.uniform(lo, hi, size=d_out)
-            cutoffs.append(np.maximum(t, 1e-3))
+            cutoffs.append(np.maximum(t, CUTOFF_FLOOR))
     skip_w = rng.uniform(0.0, 1.0 / layer_dims[0], size=layer_dims[0]) if skip else None
     return MvnnParams(weights=weights, biases=biases, cutoffs=cutoffs, skip=skip_w)
 

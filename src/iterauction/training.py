@@ -18,9 +18,7 @@ import numpy as np
 
 from .domain import report_arrays
 from .errors import InvalidInputError
-from .mvnn import MvnnParams, _per_block, _row_spans, forward_cache, init_params
-
-CUTOFF_FLOOR = 1e-3
+from .mvnn import CUTOFF_FLOOR, MvnnParams, _per_block, _row_spans, forward_cache, init_params
 
 
 @dataclass
@@ -65,11 +63,6 @@ def smooth_l1(x, y, beta: float):
     return _huber(np.abs(np.asarray(x, dtype=np.float64) - y), beta)
 
 
-def smooth_l1_grad(x, y, beta: float):
-    """d/dx smooth_l1(x, y)."""
-    return _huber_slope(np.asarray(x, dtype=np.float64) - y, beta)
-
-
 def _huber(r, beta: float):
     """``smooth_l1`` of a residual r >= 0 (or -0.0, which gives +0.0 as
     well), without taking |r| again."""
@@ -79,8 +72,9 @@ def _huber(r, beta: float):
 
 
 def _huber_slope(r, beta: float):
-    """``smooth_l1_grad`` of a residual r: r / beta clipped to [-1, 1], bit
-    for bit the piecewise form, as |r| > beta gives |r| / beta >= 1."""
+    """d/dx ``smooth_l1(x, y)`` at the residual r = x - y: r / beta clipped
+    to [-1, 1], bit for bit the piecewise form, as |r| > beta gives
+    |r| / beta >= 1."""
     if beta == 0:
         return np.sign(r)
     return np.minimum(np.maximum(r / beta, -1.0), 1.0)
@@ -280,7 +274,7 @@ def _mean_data_grads(g: Grads, params: MvnnParams, X, y, hyper: TrainHyper):
     """Write into ``g`` the gradients of the smooth-L1 batch mean; return
     the network's outputs."""
     out, O, Z = forward_cache(params, X)
-    out_grad = smooth_l1_grad(out, y, hyper.smooth_l1_beta) / X.shape[0]
+    out_grad = _huber_slope(out - y, hyper.smooth_l1_beta) / X.shape[0]
     _backward(g, params, X, O, Z, out_grad)
     return out
 

@@ -12,6 +12,7 @@ Two bounds per bidder:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -115,8 +116,6 @@ def max_monotone_extension(reports: list[tuple[np.ndarray, float]], x) -> float:
 # Learned upper bound (NOMU-style loss)
 # ---------------------------------------------------------------------------
 
-LOSS_VARIANTS = ("main-paper", "appendix-detailed")
-
 
 @dataclass
 class NomuHyper:
@@ -126,7 +125,6 @@ class NomuHyper:
     pi_uub: float = 0.25
     pi_mean: float = 64.0
     n_art: int = 64
-    loss_variant: str = "appendix-detailed"
 
     def __post_init__(self):
         # written so that NaN fails the check
@@ -136,51 +134,53 @@ class NomuHyper:
         n_art = self.n_art
         if isinstance(n_art, bool) or not isinstance(n_art, numbers.Integral) or n_art < 1:
             raise InvalidInputError(f"n_art must be a positive int, got {n_art!r}")
-        if self.loss_variant not in LOSS_VARIANTS:
-            raise InvalidInputError(f"unknown loss variant {self.loss_variant!r}")
 
 
-def _loss_terms(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta: float,
-                grads: bool) -> dict:
-    """Each loss term as (value, d/d out_tr, d/d out_art), in summation
-    order.  With ``grads`` every value is 0.0 and a gradient is 0.0 where
-    the term does not depend on that output; without, every gradient is
-    0.0.  Outputs with a leading stack axis, (E, n) and (E, n_art), give
-    each value as (E,): sums run along the last axis."""
+def _loss_values(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta: float) -> dict:
+    """Each loss term's value, in summation order.  Outputs with a leading
+    stack axis, (E, n) and (E, n_art), give each value as (E,): sums run
+    along the last axis."""
     n_art = out_art.shape[-1]
-    values = not grads
 
-    def hinge(excess, pi, sign):
-        # soft penalty on the positive part of `excess`; d excess/d out_art = sign
-        c = hyper.mu_exp * hyper.c_exp * pi
-        pos = np.maximum(excess, 0.0)
-        return (c * (_sum(_huber(pos, beta)) / n_art) if values else 0.0, 0.0,
-                sign * c / n_art * _huber_slope(pos, beta) * (excess > 0) if grads else 0.0)
+    def hinge(excess, pi):
+        # soft penalty on the positive part of `excess`
+        return hyper.mu_exp * hyper.c_exp * pi * (
+            _sum(_huber(np.maximum(excess, 0.0), beta)) / n_art)
 
     r_tr = out_tr - y
-    slope_tr = _huber_slope(r_tr, beta) if grads else None
-    terms = {"data": (hyper.mu_sqr * _sum(_huber(np.abs(r_tr), beta)) if values else 0.0,
-                      hyper.mu_sqr * slope_tr if grads else 0.0, 0.0)}
-    s = np.minimum(out_art, exact_art) - mean_art
-    if hyper.loss_variant == "main-paper":
-        arg = -hyper.c_exp * s
-    else:
-        arg = 0.01 - hyper.c_exp * s
-    d_push = (hyper.mu_exp * g_gate_grad(arg) / n_art * (-hyper.c_exp) * (out_art < exact_art)
-              if grads else 0.0)
-    terms["push_up"] = (hyper.mu_exp * (_sum(g_gate(arg)) / n_art) if values else 0.0, 0.0, d_push)
-    terms["below_exact"] = hinge(out_art - exact_art, hyper.pi_uub, 1.0)
-    terms["above_mean"] = hinge(mean_art - out_art, hyper.pi_mean, -1.0)
-    if hyper.loss_variant == "appendix-detailed":
-        over = np.maximum(r_tr, 0.0) if values else None
-        terms["stability"] = (
-            hyper.mu_sqr * _sum(0.001 * over + 0.5 * _huber(over, beta)) if values else 0.0,
-            # where r > 0 the slope at max(r, 0) is slope_tr; elsewhere the mask zeroes it
-            hyper.mu_sqr * (0.001 + 0.5 * np.maximum(slope_tr, 0.0)) * (out_tr > y)
-            if grads else 0.0,
-            0.0,
-        )
-    return terms
+    arg = 0.01 - hyper.c_exp * (np.minimum(out_art, exact_art) - mean_art)
+    over = np.maximum(r_tr, 0.0)
+    return {
+        "data": hyper.mu_sqr * _sum(_huber(np.abs(r_tr), beta)),
+        "push_up": hyper.mu_exp * (_sum(g_gate(arg)) / n_art),
+        "below_exact": hinge(out_art - exact_art, hyper.pi_uub),
+        "above_mean": hinge(mean_art - out_art, hyper.pi_mean),
+        "stability": hyper.mu_sqr * _sum(0.001 * over + 0.5 * _huber(over, beta)),
+    }
+
+
+def _loss_slopes(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta: float) -> dict:
+    """Each loss term's (d/d out_tr, d/d out_art), in summation order, with
+    None where the term does not depend on that output."""
+    n_art = out_art.shape[-1]
+
+    def hinge(excess, pi, sign):
+        # the slope of the penalty on the positive part of `excess`; d excess/d out_art = sign
+        c = hyper.mu_exp * hyper.c_exp * pi
+        return None, sign * c / n_art * _huber_slope(np.maximum(excess, 0.0), beta) * (excess > 0)
+
+    slope_tr = _huber_slope(out_tr - y, beta)
+    arg = 0.01 - hyper.c_exp * (np.minimum(out_art, exact_art) - mean_art)
+    return {
+        "data": (hyper.mu_sqr * slope_tr, None),
+        "push_up": (None, hyper.mu_exp * g_gate_grad(arg) / n_art * (-hyper.c_exp)
+                    * (out_art < exact_art)),
+        "below_exact": hinge(out_art - exact_art, hyper.pi_uub, 1.0),
+        "above_mean": hinge(mean_art - out_art, hyper.pi_mean, -1.0),
+        # where r > 0 the slope at max(r, 0) is slope_tr; elsewhere the mask zeroes it
+        "stability": (hyper.mu_sqr * (0.001 + 0.5 * np.maximum(slope_tr, 0.0)) * (out_tr > y),
+                      None),
+    }
 
 
 def nomu_loss_terms(uub_net: MvnnParams, mean_net: MvnnParams, exact_net: MvnnParams, X, y, X_art,
@@ -189,16 +189,17 @@ def nomu_loss_terms(uub_net: MvnnParams, mean_net: MvnnParams, exact_net: MvnnPa
 
     Keys: ``data`` (fit through the reports), ``push_up`` (raise the bound
     where it is still below the exact bound), ``below_exact`` and
-    ``above_mean`` (soft sandwich penalties), and in the detailed variant
-    ``stability`` (asymmetric data penalty).  For a stack of E learned
-    bounds (``MvnnParams.stack``) each value is an (E,) array, bit for bit
-    the values of one call per net.
+    ``above_mean`` (soft sandwich penalties) and ``stability`` (asymmetric
+    data penalty).  The net is evaluated in one forward pass over
+    [X; X_art].  For a stack of E learned bounds (``MvnnParams.stack``)
+    each value is an (E,) array, bit for bit the values of one call per net.
     """
-    if X.shape[0] == 0:
+    n = X.shape[0]
+    if n == 0:
         raise InvalidInputError("empty training batch")
-    terms = _nomu_pass(uub_net, np.concatenate([X, X_art]), X.shape[0], y,
-                       mean_net.forward(X_art), exact_net.forward(X_art), hyper, beta)
-    return {name: value for name, (value, _, _) in terms.items()}
+    out = forward_cache(uub_net, np.concatenate([X, X_art]), (n, X_art.shape[0]))[0]
+    return _loss_values(out[..., :n], out[..., n:], y, mean_net.forward(X_art),
+                        exact_net.forward(X_art), hyper, beta)
 
 
 def nomu_loss(
@@ -208,27 +209,23 @@ def nomu_loss(
     return sum(nomu_loss_terms(uub_net, mean_net, exact_net, X, y, X_art, hyper, beta).values())
 
 
-def _nomu_pass(uub_net, XA, n, y, mean_art, exact_art, hyper: NomuHyper, beta: float,
-               g: Grads | None = None) -> dict:
-    """The loss terms of ``uub_net`` on ``XA``, the n reports followed by
-    the artificial points, from one forward pass, as ``_loss_terms`` gives
-    them: without ``g``, their values (of a stack of nets on a shared
-    ``XA``, each value per net); with ``g`` (a single net only), their
-    gradients, and the gradients of the loss without L2 written into ``g``."""
-    blocks = (n, XA.shape[-2] - n)
+def _nomu_grads(g: Grads, uub_net: MvnnParams, XA, y, mean_art, exact_art, hyper: NomuHyper,
+                beta: float) -> None:
+    """Write into ``g`` the gradients of the loss without L2 of ``uub_net``
+    (a single net) on ``XA``, the len(y) reports followed by the artificial
+    points, from one forward pass."""
+    n = len(y)
+    blocks = (n, XA.shape[0] - n)
     out, O, Z = forward_cache(uub_net, XA, blocks)
-    terms = _loss_terms(out[..., :n], out[..., n:], y, mean_art, exact_art, hyper, beta,
-                        grads=g is not None)
-    if g is not None:
-        gout = np.zeros_like(out)
-        for _, d_tr, d_art in terms.values():
-            # a term's scalar 0.0 is skipped: it would change no entry, as
-            # sums that start at +0.0 never reach -0.0
-            for part, d in ((gout[:n], d_tr), (gout[n:], d_art)):
-                if isinstance(d, np.ndarray):
-                    part += d
-        _backward(g, uub_net, XA, O, Z, gout, blocks)
-    return terms
+    gout = np.zeros_like(out)
+    for d_tr, d_art in _loss_slopes(out[:n], out[n:], y, mean_art, exact_art, hyper,
+                                    beta).values():
+        # skipping a None is adding 0.0: it would change no entry, as sums
+        # that start at +0.0 never reach -0.0
+        for part, d in ((gout[:n], d_tr), (gout[n:], d_art)):
+            if d is not None:
+                part += d
+    _backward(g, uub_net, XA, O, Z, gout, blocks)
 
 
 def _frozen_outputs(net: MvnnParams, arts: np.ndarray) -> np.ndarray:
@@ -281,9 +278,7 @@ def train_uub(reports: list[tuple[np.ndarray, float]], mean_net: MvnnParams, exa
     XA[:, n:] = arts
     batches = zip(XA, y[perms], _frozen_outputs(mean_net, arts), _frozen_outputs(exact_net, arts))
 
-    def batch_grads(g, p, xa, yb, mean_art, exact_art):
-        _nomu_pass(p, xa, n, yb, mean_art, exact_art, nomu_hyper, beta, g=g)
-
+    batch_grads = functools.partial(_nomu_grads, hyper=nomu_hyper, beta=beta)
     thetas = _train_loop(params, train_hyper, batches, batch_grads)
     layout = _layout_of(params)
     scores = nomu_loss(_net(layout, thetas), mean_net, exact_net, X, y, X_eval, nomu_hyper, beta)

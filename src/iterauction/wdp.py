@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domain import as_bundle
 from .errors import InvalidInputError, UnsupportedSizeError
 from .mvnn import MvnnParams
 
@@ -85,16 +86,15 @@ def _excluded(bundle: np.ndarray, excl) -> bool:
     return excl is not None and tuple(int(v) for v in bundle) in excl
 
 
-def _exclusion_sets(n: int, exclusions):
+def _exclusion_sets(n: int, m: int, exclusions) -> list[dict | None]:
+    """Per bidder, its excluded bundles as tuples, or None: the keys of a
+    dict, so lookups are O(1) and the MILP adds its cuts in the given
+    order.  A bundle that is not m 0s and 1s raises ``InvalidInputError``."""
     if exclusions is None:
         return [None] * n
-    out = []
-    for bundles in exclusions:
-        if bundles is None:
-            out.append(None)
-        else:
-            out.append({tuple(int(v) for v in np.asarray(b).ravel()) for b in bundles})
-    return out
+    return [None if bundles is None else
+            dict.fromkeys(tuple(as_bundle(b, m).tolist()) for b in bundles)
+            for bundles in exclusions]
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +131,10 @@ def _half_codes(n: int, items: range) -> list[np.ndarray]:
 
 def _banned_codes(n: int, m: int, exclusions) -> list[np.ndarray | None]:
     """Per bidder, the codes of its excluded bundles, or None without
-    exclusions.  An entry that is not m 0s and 1s matches no bundle."""
+    exclusions."""
     weights = 1 << np.arange(m, dtype=np.int64)
-    return [None if s is None else
-            np.array([b for b in s if len(b) == m and set(b) <= {0, 1}],
-                     dtype=np.int64).reshape(-1, m) @ weights
-            for s in _exclusion_sets(n, exclusions)]
+    return [None if s is None else np.array(list(s), dtype=np.int64).reshape(-1, m) @ weights
+            for s in _exclusion_sets(n, m, exclusions)]
 
 
 def brute_force_wdp(evaluators, m: int, exclusions=None) -> WdpSolution:
@@ -313,7 +311,7 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
         n, evaluate = evaluators.weights[0].shape[0], evaluators.forward  # n stacked nets
     else:
         n, evaluate = len(evaluators), _batched(evaluators)
-    excl = _exclusion_sets(n, exclusions)
+    excl = _exclusion_sets(n, m, exclusions)
     if prior is not None and budget.relative_gap == 0:
         if prior.allocation.shape != (n, m):
             raise InvalidInputError("prior allocation does not match the evaluators")
@@ -539,6 +537,7 @@ def encode_milp(nets: list[MvnnParams], exclusions=None, prune: bool = True) -> 
     m = nets[0].m
     if any(net.m != m for net in nets):
         raise InvalidInputError("all networks must share the item count")
+    excl = _exclusion_sets(len(nets), m, exclusions)
     model = WdpModel()
     # allocation columns first, bidder-major: a_i_j is column i * m + j
     for i in range(len(nets)):
@@ -605,12 +604,10 @@ def encode_milp(nets: list[MvnnParams], exclusions=None, prune: bool = True) -> 
             terms += zip(net.skip.tolist(), inputs)
         obj = _affine_sum([(1.0, obj)] + terms)
 
-    if exclusions is not None:
-        for i, bundles in enumerate(exclusions):
-            for idx, b in enumerate(bundles or []):
-                x = np.asarray(b, dtype=np.int64).ravel()
-                coeffs = {i * m + j: (1.0 if x[j] == 0 else -1.0) for j in range(m)}
-                model.add_constraint(f"excl_{i}_{idx}", coeffs, 1.0 - float(x.sum()), np.inf)
+    for i, bundles in enumerate(excl):
+        for idx, x in enumerate(bundles or ()):
+            coeffs = {i * m + j: (1.0 if x[j] == 0 else -1.0) for j in range(m)}
+            model.add_constraint(f"excl_{i}_{idx}", coeffs, 1.0 - float(sum(x)), np.inf)
 
     model.objective, model.objective_const = obj
     return model

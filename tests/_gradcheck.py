@@ -13,7 +13,7 @@ from iterauction.training import (
     _regularised,
     smooth_l1,
 )
-from iterauction.uub import _loss_terms, _nomu_pass, nomu_loss_terms
+from iterauction.uub import _loss_slopes, _nomu_grads, nomu_loss_terms
 
 FD_EPS = 1e-6
 KINK_MARGIN = 1e-4
@@ -89,24 +89,24 @@ def nomu_loss_and_grads(uub_net, mean_net, exact_net, X, y, X_art, hyper, train_
                         only_term=None):
     """Learned-bound loss and its gradients for ``uub_net`` alone: the total
     with L2, or the one term ``only_term`` without it.  The total's
-    gradients come from the training pass ``_nomu_pass(..., g=g)``; one
-    term's from its ``_loss_terms`` gradients through ``_backward``."""
+    gradients come from the training pass ``_nomu_grads``; one term's from
+    its ``_loss_slopes`` through ``_backward``."""
     beta = train_hyper.smooth_l1_beta
     terms = nomu_loss_terms(uub_net, mean_net, exact_net, X, y, X_art, hyper, beta)
     g = Grads.zeros_like(uub_net)
     XA, n = np.concatenate([X, X_art]), X.shape[0]
     mean_art, exact_art = mean_net.forward(X_art), exact_net.forward(X_art)
     if only_term is None:
-        _nomu_pass(uub_net, XA, n, y, mean_art, exact_art, hyper, beta, g=g)
+        _nomu_grads(g, uub_net, XA, y, mean_art, exact_art, hyper, beta)
         theta = _regularised(uub_net)
         _add_l2(g, theta, train_hyper.l2_lambda)
         return sum(terms.values()) + _l2_penalty(theta, train_hyper.l2_lambda), g
     blocks = (n, len(X_art))
     out, O, Z = forward_cache(uub_net, XA, blocks)
-    _, d_tr, d_art = _loss_terms(out[:n], out[n:], y, mean_art, exact_art, hyper, beta,
-                                 grads=True)[only_term]
+    slopes = _loss_slopes(out[:n], out[n:], y, mean_art, exact_art, hyper, beta)[only_term]
     gout = np.zeros_like(out)
-    gout[:n] += d_tr
-    gout[n:] += d_art
+    for part, d in zip((gout[:n], gout[n:]), slopes):
+        if d is not None:
+            part += d
     _backward(g, uub_net, XA, O, Z, gout, blocks)
     return terms[only_term], g

@@ -5,7 +5,7 @@ initialisation is measured against."""
 import numpy as np
 
 from iterauction import wdp
-from iterauction.mvnn import MvnnParams, forward_cache
+from iterauction.mvnn import CUTOFF_FLOOR, MvnnParams, forward_cache
 
 FEASIBILITY_TOL = 1e-9
 
@@ -58,5 +58,5 @@ def init_params_generic(
         weights.append(rng.uniform(0.0, 2.0 / np.sqrt(d_prev), size=(d_out, d_prev)))
         if k < len(layer_dims) - 1:
             biases.append(np.zeros(d_out))
-            cutoffs.append(np.maximum(rng.uniform(lo, hi, size=d_out), 1e-3))
+            cutoffs.append(np.maximum(rng.uniform(lo, hi, size=d_out), CUTOFF_FLOOR))
     return MvnnParams(weights=weights, biases=biases, cutoffs=cutoffs)

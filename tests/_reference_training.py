@@ -11,8 +11,8 @@ piecewise smooth-L1 forms.  Only ``forward_cache`` on a single block,
 
 import numpy as np
 
-from iterauction.mvnn import forward_cache, init_params
-from iterauction.training import CUTOFF_FLOOR, Grads, r_squared
+from iterauction.mvnn import CUTOFF_FLOOR, forward_cache, init_params
+from iterauction.training import Grads, r_squared
 from iterauction.uub import g_gate
 
 
@@ -47,18 +47,17 @@ def reference_loss_terms(out_tr, out_art, y, mean_art, exact_art, hyper, beta):
     terms = {"data": (hyper.mu_sqr * float(piecewise_smooth_l1(out_tr, y, beta).sum()),
                       hyper.mu_sqr * piecewise_smooth_l1_grad(out_tr, y, beta), 0.0)}
     s = np.minimum(out_art, exact_art) - mean_art
-    arg = -hyper.c_exp * s if hyper.loss_variant == "main-paper" else 0.01 - hyper.c_exp * s
+    arg = 0.01 - hyper.c_exp * s
     terms["push_up"] = (
         hyper.mu_exp * float(g_gate(arg).mean()), 0.0,
         hyper.mu_exp * piecewise_gate_grad(arg) / n_art * (-hyper.c_exp) * (out_art < exact_art))
     terms["below_exact"] = hinge(out_art - exact_art, hyper.pi_uub, 1.0)
     terms["above_mean"] = hinge(mean_art - out_art, hyper.pi_mean, -1.0)
-    if hyper.loss_variant == "appendix-detailed":
-        over = np.maximum(out_tr - y, 0.0)
-        terms["stability"] = (
-            hyper.mu_sqr * float((0.001 * over + 0.5 * piecewise_smooth_l1(over, 0.0, beta)).sum()),
-            hyper.mu_sqr * (0.001 + 0.5 * piecewise_smooth_l1_grad(over, 0.0, beta)) * (out_tr > y),
-            0.0)
+    over = np.maximum(out_tr - y, 0.0)
+    terms["stability"] = (
+        hyper.mu_sqr * float((0.001 * over + 0.5 * piecewise_smooth_l1(over, 0.0, beta)).sum()),
+        hyper.mu_sqr * (0.001 + 0.5 * piecewise_smooth_l1_grad(over, 0.0, beta)) * (out_tr > y),
+        0.0)
     return terms
 
 

@@ -28,7 +28,7 @@ def reference_brute_force_wdp(evaluators, m: int, exclusions=None) -> WdpSolutio
         raise UnsupportedSizeError(
             f"{total} assignments exceed the brute-force limit {BRUTE_FORCE_LIMIT}"
         )
-    excl = _exclusion_sets(n, exclusions)
+    excl = _exclusion_sets(n, m, exclusions)
     radix = (n + 1) ** np.arange(m, dtype=np.int64)
     best_w, best_alloc = None, None
     for start in range(0, total, BRUTE_FORCE_CHUNK):

@@ -96,6 +96,10 @@ class TestReportSet:
         ({"n": 2, "m": 2, "reports": 5}, "list of 2 lists"),
         ({"n": 2, "m": 2, "reports": [[[[1, 1], 1.0]]]}, "list of 2 lists"),
         ({"n": 1, "m": 2, "reports": [5]}, "list of 1 lists"),
+        # a report that is not a [bundle, value] pair, named by its bidder
+        ({"n": 1, "m": 2, "reports": [[5]]}, r"bidder 0's report 5 is not a \[bundle, value\]"),
+        ({"n": 2, "m": 2, "reports": [[], [[[1, 1]]]]}, r"bidder 1's report \[\[1, 1\]\] is not"),
+        ({"n": 1, "m": 2, "reports": [[[[1, 1], 1.0, 2.0]]]}, "bidder 0's report"),
     ])
     def test_json_with_mistyped_or_short_values_is_rejected(self, obj, message):
         with pytest.raises(InvalidInputError, match=message):
@@ -178,6 +182,22 @@ class TestEfficiencyLoss:
         with pytest.raises(InvalidInputError, match=r"instance is missing required keys "
                            r"\['n', 'm', 'bidders', 'optimal_allocation', 'optimal_welfare'\]"):
             ia.AuctionInstance.from_json("{}")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda o: o.update(bidders=o["bidders"][:1]), "'bidders' must be a list of n=2"),
+        (lambda o: o["bidders"][1]["params"].update(base=[0.5] * 3),
+         "bidder 1's value model has 3 items, not m=4"),
+        (lambda o: o.update(optimal_allocation=[[1, 0, 1, 0]]), "allocation has 1 bidders"),
+        (lambda o: o.update(optimal_allocation=[[1, 0, 1], [0, 1, 0]]), "allocation has 3 items"),
+        (lambda o: o.update(n=2.0), "'n' must be an int"),
+    ], ids=["one-bidder-short", "bidder-m", "allocation-n", "allocation-m", "float-n"])
+    def test_instance_json_of_the_wrong_shape_is_rejected(self, edit, message):
+        # before, an n=2 file with one bidder loaded, and efficiency_loss
+        # on it raised IndexError
+        obj = json.loads(ia.generate_instance(ia.GeneratorConfig(n=2, m=4), seed=3).to_json())
+        edit(obj)
+        with pytest.raises(InvalidInputError, match=message):
+            ia.AuctionInstance.from_json(json.dumps(obj))
 
     def test_instance_json_round_trip(self):
         inst = ia.generate_instance(ia.GeneratorConfig(n=2, m=4), seed=3)

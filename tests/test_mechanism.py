@@ -309,6 +309,8 @@ class TestRunMlca:
         ({"nomu_hyper": {"n_artificial": 8}}, "n_artificial"),
         ({"budget": {"gap": 0.0}}, "gap"),
         ({"q_init": 4, "epochs": 10}, "epochs"),
+        # the learned-bound loss has one form, so a config that picks one fails loudly
+        ({"nomu_hyper": {"loss_variant": "appendix-detailed"}}, "loss_variant"),
     ])
     def test_config_json_rejects_unknown_keys(self, obj, unknown):
         with pytest.raises(ia.InvalidInputError, match=unknown):

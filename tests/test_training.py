@@ -20,17 +20,16 @@ from iterauction.training import (
     _backward,
     _best_epoch,
     _epoch_draws,
+    _huber_slope,
     _layout_of,
     _mean_data_grads,
     _net,
     _train_loop,
     r_squared,
     smooth_l1,
-    smooth_l1_grad,
     train_mean,
 )
 from iterauction.uub import (
-    LOSS_VARIANTS,
     NomuHyper,
     build_exact_uub,
     train_uub,
@@ -68,8 +67,8 @@ class TestSmoothL1:
 
     def test_gradient_continuity_at_transition(self):
         beta = 1 / 64
-        assert smooth_l1_grad(beta, 0.0, beta) == pytest.approx(1.0)
-        assert smooth_l1_grad(beta - 1e-12, 0.0, beta) == pytest.approx(1.0, abs=1e-9)
+        assert _huber_slope(beta, beta) == pytest.approx(1.0)
+        assert _huber_slope(beta - 1e-12, beta) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("beta", [0.0, 1 / 64, 0.3])
     def test_bit_equal_to_the_piecewise_forms(self, beta):
@@ -78,9 +77,9 @@ class TestSmoothL1:
         y = np.concatenate([rng.choice(EDGE_VALUES[:10], size=EDGE_VALUES.size),
                             rng.normal(scale=0.05, size=200)])
         with np.errstate(invalid="ignore"):  # inf - inf
-            for fn, ref in ((smooth_l1, piecewise_smooth_l1),
-                            (smooth_l1_grad, piecewise_smooth_l1_grad)):
-                assert fn(x, y, beta).tobytes() == ref(x, y, beta).tobytes()
+            assert smooth_l1(x, y, beta).tobytes() == piecewise_smooth_l1(x, y, beta).tobytes()
+            assert (_huber_slope(x - y, beta).tobytes()
+                    == piecewise_smooth_l1_grad(x, y, beta).tobytes())
 
 
 class TestGradients:
@@ -396,8 +395,7 @@ class TestAgainstEpochLoop:
         assert mean.to_json() == reference_train_mean(reports, dims, InitHyper(), th, k,
                                                       skip).to_json()
         exact = build_exact_uub(reports)
-        for variant in LOSS_VARIANTS:
-            nh = NomuHyper(loss_variant=variant)
-            upper = train_uub(reports, mean, exact, nh, th, InitHyper(), dims, seed=k, skip=skip)
-            assert upper.to_json() == reference_train_uub(reports, mean, exact, nh, th, InitHyper(),
-                                                          dims, k, skip).to_json()
+        nh = NomuHyper()
+        upper = train_uub(reports, mean, exact, nh, th, InitHyper(), dims, seed=k, skip=skip)
+        assert upper.to_json() == reference_train_uub(reports, mean, exact, nh, th, InitHyper(),
+                                                      dims, k, skip).to_json()

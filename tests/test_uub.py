@@ -20,10 +20,10 @@ from iterauction.training import (
     train_mean,
 )
 from iterauction.uub import (
-    LOSS_VARIANTS,
     NomuHyper,
     _frozen_outputs,
-    _loss_terms,
+    _loss_slopes,
+    _loss_values,
     build_exact_uub,
     elu,
     g_gate,
@@ -182,7 +182,6 @@ class TestNomuHyper:
         {"n_art": 2.5},
         {"n_art": True},
         {"n_art": 0},
-        {"loss_variant": "main"},
     ])
     def test_rejects_values_that_break_training(self, bad):
         with pytest.raises(InvalidInputError):
@@ -214,13 +213,6 @@ class TestNomuLoss:
         assert set(terms) == {"data", "push_up", "below_exact", "above_mean", "stability"}
         total = nomu_loss(p, mean, exact, X, y, X_art, nh, th.smooth_l1_beta)
         assert total == pytest.approx(sum(terms.values()), rel=1e-12)
-
-    def test_main_variant_drops_stability_term(self):
-        _, exact, mean, X, y, X_art, _ = self._setup(1)
-        p = init_params([5, 4, 1], InitHyper(), (0.3, 1.0), seed=2)
-        terms = nomu_loss_terms(p, mean, exact, X, y, X_art,
-                                NomuHyper(loss_variant="main-paper"), 1 / 64)
-        assert "stability" not in terms
 
     def test_each_term_gradient_matches_finite_differences(self):
         th = TrainHyper(trainable_cutoffs=True)
@@ -262,13 +254,12 @@ def _bits(a) -> bytes:
 
 
 class TestLossTermsAgainstReference:
-    @pytest.mark.parametrize("variant", LOSS_VARIANTS)
     @pytest.mark.parametrize("beta", [0.0, 1 / 64])
-    def test_bit_equal_to_the_term_by_term_forms(self, variant, beta):
+    def test_bit_equal_to_the_term_by_term_forms(self, beta):
         # values at the kinks, signed zeros, ties between the networks and infinities
         edge = np.array([0.0, -0.0, 1 / 64, -1 / 64, 1 / 128, 0.5, -1.0, 5e-324, np.inf])
-        rng = np.random.default_rng(int(beta * 64) + len(variant))
-        nh = NomuHyper(loss_variant=variant)
+        rng = np.random.default_rng(int(beta * 64) + 17)
+        nh = NomuHyper()
         for _ in range(300):
             n, n_art = (int(v) for v in rng.integers(1, 8, size=2))
             if rng.random() < 0.5:
@@ -282,14 +273,15 @@ class TestLossTermsAgainstReference:
             exact_art[: n_art // 2] = out_art[: n_art // 2]
             with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
                 ref = reference_loss_terms(out_tr, out_art, y, mean_art, exact_art, nh, beta)
-                for grads in (True, False):
-                    got = _loss_terms(out_tr, out_art, y, mean_art, exact_art, nh, beta,
-                                      grads=grads)
-                    assert list(got) == list(ref)
-                    for name, parts in got.items():
-                        for k, keep in enumerate((not grads, grads, grads)):
-                            if keep:
-                                assert _bits(parts[k]) == _bits(ref[name][k]), (name, k)
+                values = _loss_values(out_tr, out_art, y, mean_art, exact_art, nh, beta)
+                slopes = _loss_slopes(out_tr, out_art, y, mean_art, exact_art, nh, beta)
+            assert list(values) == list(slopes) == list(ref)
+            for name, (value, *ref_slopes) in ref.items():
+                assert _bits(values[name]) == _bits(value), name
+                # the reference's scalar 0.0 is a term's None: no dependence on that output
+                for k, (got, want) in enumerate(zip(slopes[name], ref_slopes)):
+                    assert (got is None) == isinstance(want, float), (name, k)
+                    assert _bits(0.0 if got is None else got) == _bits(want), (name, k)
 
 
 class TestTrainUub:
@@ -340,13 +332,12 @@ class TestTrainUub:
             got = _frozen_outputs(net, arts)
             assert got.tobytes() == np.stack([net.forward(a) for a in arts]).tobytes()
 
-    @pytest.mark.parametrize("variant", LOSS_VARIANTS)
-    def test_stacked_epoch_scores_equal_nomu_loss(self, variant):
+    def test_stacked_epoch_scores_equal_nomu_loss(self):
         # train_uub scores every epoch in one pass over the stack of the
         # epochs' networks, views of _train_loop's (epochs + 1, P) matrix;
         # each score must be nomu_loss of that epoch's network alone, exactly
         th = TrainHyper(epochs=20)
-        nh = NomuHyper(loss_variant=variant)
+        nh = NomuHyper()
         m = 5
         # one report (a one-row block), and a hidden fan-in of 40
         for extra, dims, skip in ((0, [m, 8, 1], False), (8, [m, 8, 1], True),

@@ -448,6 +448,20 @@ class TestBackendsAgree:
                                 exclusions=excl)
             assert same_solution(stacked, nb)
 
+    @pytest.mark.parametrize("solve", [
+        lambda nets, m, excl: brute_force_wdp([p.forward for p in nets], m, exclusions=excl),
+        lambda nets, m, excl: solve_wdp([p.forward for p in nets], m, exclusions=excl),
+        lambda nets, m, excl: milp_wdp(nets, exclusions=excl),
+    ], ids=["brute-force", "branch-and-bound", "milp"])
+    @pytest.mark.parametrize("bundle", [[0, 1, 0, 0], [0, 1], [0, 0.5, 1]],
+                             ids=["too-long", "too-short", "fractional"])
+    def test_each_rejects_a_malformed_excluded_bundle(self, solve, bundle):
+        # before, brute force and B&B ignored such a bundle, while the MILP
+        # cut an over-long one to its first m entries and failed on a short one
+        nets = random_nets(2, 3, np.random.default_rng(0))
+        with pytest.raises(InvalidInputError, match="bundle"):
+            solve(nets, 3, [[bundle], None])
+
 
 @st.composite
 def tied_wdp_instances(draw):
