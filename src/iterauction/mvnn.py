@@ -10,6 +10,7 @@ by construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -162,16 +163,82 @@ class MvnnParams:
 
 
 # A product of fan-in at or above this can take OpenBLAS's AVX-512
-# small-matrix dgemm kernel, which sums in another order than its general one.
+# small-matrix kernel, which sums in another order than its general one.
 _SMALL_KERNEL_FAN_IN = 32
 
+_WHOLE = (slice(None),)  # one product over every row
 
-def forward_cache(params: MvnnParams, X: np.ndarray, blocks: tuple[int, ...] | None = None):
+
+def _row_spans(blocks: tuple[int, ...]) -> list[slice]:
+    """The row slices of consecutive blocks of these sizes."""
+    return [slice(end - size, end) for size, end in zip(blocks, itertools.accumulate(blocks))]
+
+
+def _product_spans(fan_in: int, blocks: tuple[int, ...] | None, spans):
+    """The row spans a gemm product of this fan-in over row blocks runs
+    on (see ``forward_cache``): all rows at once, unless a block has one
+    row or the fan-in can take the small-matrix kernel; then ``spans``,
+    the blocks' own."""
+    if blocks is None or (min(blocks) > 1 and fan_in < _SMALL_KERNEL_FAN_IN):
+        return _WHOLE
+    return spans
+
+
+class ForwardBuffers:
+    """Every array that ``forward_cache`` writes, for one architecture, one
+    input shape and one split into row blocks: each hidden layer's
+    pre-activations ``O`` and outputs ``Z``, the output and the skip
+    product, as (..., rows, d) arrays, and the row slices each product runs
+    over.  Training makes one per fit and reuses it every epoch; a
+    caller may pass ``empty`` to take the arrays from storage of its own."""
+
+    __slots__ = ("O", "Z", "out", "skip_out", "spans", "hidden_spans")
+
+    def __init__(self, params: MvnnParams, shape: tuple[int, ...],
+                 blocks: tuple[int, ...] | None = None, empty=np.empty):
+        lead, rows = params.weights[0].shape[:-2] or shape[:-2], shape[-2]
+        hidden = [(*lead, rows, W.shape[-2]) for W in params.weights[:-1]]
+        self.O = [empty(dims) for dims in hidden]
+        self.Z = [empty(dims) for dims in hidden]
+        self.out = empty((*lead, rows, 1))
+        self.skip_out = None if params.skip is None else empty((*lead, rows, 1))
+        self.spans = _WHOLE if blocks is None else _row_spans(blocks)
+        self.hidden_spans = [_product_spans(W.shape[-1], blocks, self.spans)
+                             for W in params.weights[:-1]]
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def fresh(num_hidden: int) -> "ForwardBuffers":
+        """No arrays, for a pass without blocks: each product makes its own
+        (numpy's ``out=None``)."""
+        buf = object.__new__(ForwardBuffers)
+        buf.O = buf.Z = (None,) * num_hidden
+        buf.out = buf.skip_out = None
+        buf.spans, buf.hidden_spans = _WHOLE, (_WHOLE,) * num_hidden
+        return buf
+
+
+def _product(a: np.ndarray, B: np.ndarray, spans, out: np.ndarray | None):
+    """``a @ B`` written into ``out``, rows being axis -2: once over all
+    rows, or once per row span into that span's rows."""
+    if spans is _WHOLE:
+        return np.matmul(a, B, out=out)
+    for s in spans:
+        np.matmul(a[..., s, :], B, out=out[..., s, :])
+    return out
+
+
+def forward_cache(params: MvnnParams, X: np.ndarray, blocks: tuple[int, ...] | None = None,
+                  buffers: ForwardBuffers | None = None):
     """The network's forward pass on a batch (B, m), or a stack's on
     (n, B, m): its outputs (B,) or (n, B), the hidden pre-activations O and
     the layer inputs Z (X first), as kept for backprop.  Unlike
-    ``MvnnParams.forward`` it does not check the cutoffs.  Working in place
-    saves two temporaries per layer on the B&B's hot path.
+    ``MvnnParams.forward`` it does not check the cutoffs.
+
+    Every array is written in place, into ``buffers`` when given (made for
+    X's shape and row blocks, which then stand for ``blocks``) and into
+    fresh ones otherwise; the outputs are views of them.  So an epoch of
+    training, which passes its fit's buffers, allocates nothing here.
 
     ``blocks``, used by training only, splits the batch into consecutive
     row blocks of these sizes.  The result equals one call per block, bit
@@ -184,45 +251,34 @@ def forward_cache(params: MvnnParams, X: np.ndarray, blocks: tuple[int, ...] | N
       and a fan-in of 32 or more can take the small-matrix kernel, so such
       products also run per block.
 
-    The rules hold per net of a stack too: numpy's matmul runs one BLAS
-    call per net, so a stack of n nets on a shared batch (B, m), with
-    ``blocks``, equals one blocked call per net.  Training scores a fit's
-    every epoch so, as a stack of its epochs' nets.
+    Each block's product is written into its rows of the layer's buffer,
+    which gives the bits of a product on those rows alone.  The rules hold
+    per net of a stack too: numpy's matmul runs one BLAS call per net, so a
+    stack of n nets on a shared batch (B, m), with ``blocks``, equals one
+    blocked call per net.  Training scores a fit's every epoch so, as a
+    stack of its epochs' nets.
 
     Threading: OpenBLAS runs a gemm of more than about 2^19 multiply-adds
     (rows x fan-in x width) on a second thread, which then spins between
     calls; so a caller that batches many rows splits them into calls whose
     widest product stays below that.
     """
-    Z, O, z = [X], [], X
-    for W, b, t in zip(params.weights, params.biases, params.cutoffs):  # the hidden layers
-        WT = W.swapaxes(-1, -2)
-        if blocks is None or (min(blocks) > 1 and W.shape[-1] < _SMALL_KERNEL_FAN_IN):
-            o = z @ WT
-        else:
-            o = _per_block(z, WT, blocks)
+    if buffers is None:
+        buffers = (ForwardBuffers.fresh(params.num_hidden) if blocks is None
+                   else ForwardBuffers(params, X.shape, blocks))
+    O, Z = [], [X]
+    for W, b, t, o, z, spans in zip(params.weights, params.biases, params.cutoffs,
+                                    buffers.O, buffers.Z, buffers.hidden_spans):  # the hidden layers
+        o = _product(Z[-1], W.swapaxes(-1, -2), spans, o)
         o += b[..., None, :]  # broadcast over the rows
-        z = np.maximum(o, 0.0)
+        z = np.maximum(o, 0.0, out=z)
         np.minimum(z, t[..., None, :], out=z)
         O.append(o)
         Z.append(z)
-    WT = params.weights[-1].swapaxes(-1, -2)
-    out = (z @ WT if blocks is None else _per_block(z, WT, blocks))[..., 0]
+    out = _product(Z[-1], params.weights[-1].swapaxes(-1, -2), buffers.spans, buffers.out)
     if params.skip is not None:
-        skip = params.skip[..., None]
-        out = out + (X @ skip if blocks is None else _per_block(X, skip, blocks))[..., 0]
-    return out, O, Z
-
-
-def _row_spans(blocks: tuple[int, ...]) -> list[slice]:
-    """The row slices of consecutive blocks of these sizes."""
-    return [slice(end - size, end) for size, end in zip(blocks, itertools.accumulate(blocks))]
-
-
-def _per_block(a: np.ndarray, B: np.ndarray, blocks: tuple[int, ...]) -> np.ndarray:
-    """``a @ B`` as one product per row block of ``a``, rows being axis -2,
-    so that ``a`` or ``B`` may carry a leading stack axis."""
-    return np.concatenate([a[..., s, :] @ B for s in _row_spans(blocks)], axis=-2)
+        out += _product(X, params.skip[..., None], buffers.spans, buffers.skip_out)
+    return out[..., 0], O, Z
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,26 @@ at exactly 0 and exactly the cutoff.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
+import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import report_arrays
 from .errors import InvalidInputError
-from .mvnn import CUTOFF_FLOOR, MvnnParams, _per_block, _row_spans, forward_cache, init_params
+from .mvnn import (
+    CUTOFF_FLOOR,
+    ForwardBuffers,
+    MvnnParams,
+    _product,
+    _product_spans,
+    forward_cache,
+    init_params,
+)
 
 
 @dataclass
@@ -71,17 +82,36 @@ def _huber(r, beta: float):
     return np.where(r <= beta, 0.5 / beta * r * r, r - 0.5 * beta)
 
 
-def _huber_slope(r, beta: float):
+def _huber_slope(r, beta: float, out=None):
     """d/dx ``smooth_l1(x, y)`` at the residual r = x - y: r / beta clipped
     to [-1, 1], bit for bit the piecewise form, as |r| > beta gives
-    |r| / beta >= 1."""
+    |r| / beta >= 1.  Written into ``out`` (which may be ``r``) if given."""
     if beta == 0:
-        return np.sign(r)
-    return np.minimum(np.maximum(r / beta, -1.0), 1.0)
+        return np.sign(r, out=out)
+    s = np.divide(r, beta, out=out)
+    return np.minimum(np.maximum(s, -1.0, out=out), 1.0, out=out)
 
 
 # ---------------------------------------------------------------------------
 # Backward machinery
+#
+# A fit makes its arrays once, when ``_train_loop`` starts: a ``_Workspace``
+# for the forward pass, the loss's output slopes and the backward, Adam's
+# moments as one (2, P) matrix, and the (epochs + 1, P) matrix of epoch
+# parameters.  An epoch then allocates nothing: every op writes through
+# ``out=``, in the operation order of the expression it replaces, so every
+# result keeps its bits.  Five rules keep them:
+#
+# - products run once per row block, or once over all rows, as
+#   ``forward_cache`` says;
+# - the clip norm sums each array pairwise, along a contiguous last axis
+#   (``np.add.reduceat`` sums in sequence, which differs);
+# - each column sum over a block's rows is one reduce per array: one over
+#   two arrays side by side sums a width-1 array's column in another order;
+# - output gradients start from zeros and take each loss term's slope, in
+#   term order;
+# - frozen cutoffs skip projection only when all are at or above
+#   ``CUTOFF_FLOOR``, where it changes nothing.
 # ---------------------------------------------------------------------------
 
 
@@ -108,6 +138,16 @@ class _Layout:
         _, self.n_pos, self.n_reg, self.size = ends
         # each array's span in the order of ``Grads.arrays``
         self.array_spans = [(a, z) for k in (0, 2, 3, 1) for a, z, _ in self.groups[k]]
+        # those arrays as runs of equal-length ones that also lie next to
+        # each other in the vector: (start, arrays, length)
+        self.norm_runs = []
+        for a, z in self.array_spans:
+            if self.norm_runs:
+                start, count, length = self.norm_runs[-1]
+                if start + count * length == a and z - a == length:
+                    self.norm_runs[-1] = (start, count + 1, length)
+                    continue
+            self.norm_runs.append((a, 1, z - a))
 
     def views(self, flat: np.ndarray):
         """(weights, skip, biases, cutoffs) as views of ``flat``; of a
@@ -134,64 +174,119 @@ def _net(layout: _Layout, flat: np.ndarray) -> MvnnParams:
 
 class Grads:
     """Parameter gradients: ``weights``, ``biases``, ``cutoffs`` and ``skip``
-    are views of the one buffer ``flat`` (see ``_Layout``)."""
+    are views of the one buffer ``flat`` (see ``_Layout``), zeros unless
+    given."""
 
-    def __init__(self, layout: _Layout):
+    def __init__(self, layout: _Layout, flat: np.ndarray | None = None):
         self.layout = layout
-        self.flat = np.zeros(layout.size)
+        self.flat = np.zeros(layout.size) if flat is None else flat
         self.weights, self.skip, self.biases, self.cutoffs = layout.views(self.flat)
-        self._spares: list[Grads] = []
+        # global_norm's squares and per-array sums, viewed run by run
+        self._squares = np.empty(layout.size)
+        self._sums = np.empty(len(layout.array_spans))
+        ends = itertools.accumulate(count for _, count, _ in layout.norm_runs)
+        self._norm_runs = [(self._squares[a:a + count * length].reshape(count, length),
+                            self._sums[end - count:end])
+                           for (a, count, length), end in zip(layout.norm_runs, ends)]
 
     @classmethod
     def zeros_like(cls, params: MvnnParams) -> "Grads":
         return cls(_layout_of(params))
 
-    def spares(self, k: int) -> list["Grads"]:
-        """k more buffers of this layout, made on first use and then reused:
-        ``_backward``'s scratch for its later row blocks."""
-        while len(self._spares) < k:
-            self._spares.append(Grads(self.layout))
-        return self._spares[:k]
-
     def arrays(self):
         return self.weights + self.biases + self.cutoffs + _optional(self.skip)
 
     def global_norm(self) -> float:
-        """The L2 norm over every entry: one squared buffer, summed per
-        array in ``arrays`` order."""
-        sq = self.flat * self.flat
-        return math.sqrt(sum(_sum(sq[a:z]) for a, z in self.layout.array_spans))
+        """The L2 norm over every entry.  Each array's squares are summed
+        pairwise, one reduce per run of ``_Layout.norm_runs`` (a matrix's
+        row sums are bit for bit each row's own sum); the per-array sums
+        are then added one by one in ``arrays`` order, a left fold, which
+        the builtin ``sum`` of floats is not from Python 3.12 on."""
+        np.multiply(self.flat, self.flat, out=self._squares)
+        for rows, sums in self._norm_runs:
+            np.add.reduce(rows, axis=-1, out=sums)
+        return math.sqrt(functools.reduce(operator.add, self._sums.tolist()))
 
 
-def _backward(g: Grads, params: MvnnParams, X, O, Z, out_grad, blocks=None) -> None:
-    """Write into ``g`` the parameter gradients of sum_b out_grad[b] * net(X[b]).
+class _Workspace:
+    """Every array one fit's epochs write, made once when ``_train_loop``
+    starts, for batches split into row blocks of the sizes ``blocks`` (see
+    ``forward_cache``): the forward pass's buffers, the output gradient,
+    the loss's output slopes (up to three terms per block) and their masks,
+    and the backward's deltas, masks and per-block gradients.  So an epoch
+    allocates nothing.  ``grads`` holds the gradients an epoch leaves.
 
-    With ``blocks`` (as in ``forward_cache``) every row sum and product runs
-    once per block, and ``g`` is the first block's gradients with each later
-    block's added in order: bit for bit the sum of one call per block.  The
-    later blocks write into ``g.spares``, every entry through ``out=``.  The
-    elementwise work runs once over all rows."""
-    spans = [slice(None)] if blocks is None else _row_spans(blocks)
-    parts = list(zip(spans, [g] + g.spares(len(spans) - 1)))
-    for s, d in parts:
-        np.matmul(out_grad[s], Z[-1][s], out=d.weights[-1][0])
-        if params.skip is not None:
-            np.matmul(out_grad[s], X[s], out=d.skip)
-    delta = out_grad[:, None] * params.weights[-1]
-    for k in range(params.num_hidden - 1, -1, -1):
-        o, t = O[k], params.cutoffs[k]
+    The views the backward's ops take are made here too, once:
+
+    - ``output_blocks``, per row block: its rows, its rows of the output
+      gradient and of the last hidden layer's output (None for the input,
+      which each call passes), and its output-weight and skip gradients;
+    - ``layers``, per hidden layer: the delta at its output, its masks
+      (above the cutoff, inside, below the cutoff), the saturated and the
+      inner part of its delta, per row block the views of those parts (the
+      inner one transposed too) and of the layer's input (None for the
+      input), with the block's cutoff, bias and weight gradients, and the
+      row spans of the product that carries the inner part to the delta
+      below (which runs as the forward's hidden products do)."""
+
+    def __init__(self, params: MvnnParams, blocks: tuple[int, ...]):
+        rows = sum(blocks)
+        fwd = self.forward = ForwardBuffers(params, (rows, params.m), blocks)
+        self.out_grad = np.empty(rows)
+        self.out_grad_column = self.out_grad[:, None]
+        self.slopes = [np.empty((3, size)) for size in blocks]
+        self.flags = [np.empty((3, size), dtype=bool) for size in blocks]
+        layout = _layout_of(params)
+        # one gradient per row block, the first one also their sum
+        self.block_grads = [Grads(layout, flat) for flat in np.zeros((len(blocks), layout.size))]
+        self.grads = self.block_grads[0]
+        parts = list(zip(fwd.spans, self.block_grads))
+        z_last = fwd.Z[-1] if fwd.Z else None
+        self.output_blocks = [(s, self.out_grad[s], None if z_last is None else z_last[s],
+                               d.weights[-1][0], d.skip) for s, d in parts]
+        self.layers = []
+        for k, W in enumerate(params.weights[:-1]):
+            delta, saturated, inner = np.empty((3, rows, W.shape[0]))
+            z_in = fwd.Z[k - 1] if k else None
+            self.layers.append((
+                delta, tuple(np.empty((3, rows, W.shape[0]), dtype=bool)), saturated, inner,
+                [(s, saturated[s], inner[s], inner[s].T, None if z_in is None else z_in[s],
+                  d.cutoffs[k], d.biases[k], d.weights[k]) for s, d in parts],
+                _product_spans(W.shape[0], blocks, fwd.spans)))
+
+
+def _backward(ws: _Workspace, params: MvnnParams, X) -> None:
+    """Write into ``ws.grads`` the parameter gradients of
+    sum_b out_grad[b] * net(X[b]), for ``ws.out_grad`` and the forward pass
+    on X held in ``ws.forward``.
+
+    Every row sum and product runs once per row block of ``ws`` (see
+    ``forward_cache``), into that block's gradients, and ``ws.grads`` is
+    the first block's with each later block's added in order: bit for bit
+    the sum of one call per block.  The elementwise work runs once over all
+    rows.  Every op writes through ``out=``, into ``ws``."""
+    for s, out_grad, z, w_grad, skip_grad in ws.output_blocks:
+        np.matmul(out_grad, X[s] if z is None else z, out=w_grad)
+        if skip_grad is not None:
+            np.matmul(out_grad, X[s], out=skip_grad)
+    if ws.layers:
+        np.multiply(ws.out_grad_column, params.weights[-1], out=ws.layers[-1][0])
+    for k in range(len(ws.layers) - 1, -1, -1):
+        delta, (above, inside, below_t), saturated, inner, blocks, spans = ws.layers[k]
+        o, t = ws.forward.O[k], params.cutoffs[k]
         # z = t on the saturated region; subgradient 0 at the kinks themselves
-        sat = delta * (o > t)
-        do = delta * ((o > 0) & (o < t))
-        for s, d in parts:
-            np.add.reduce(sat[s], axis=0, out=d.cutoffs[k])
-            np.add.reduce(do[s], axis=0, out=d.biases[k])
-            np.matmul(do[s].T, Z[k][s], out=d.weights[k])
+        np.multiply(delta, np.greater(o, t, out=above), out=saturated)
+        np.greater(o, 0.0, out=inside)
+        inside &= np.less(o, t, out=below_t)
+        np.multiply(delta, inside, out=inner)
+        for s, sat_rows, inner_rows, inner_rows_t, z, c_grad, b_grad, w_grad in blocks:
+            np.add.reduce(sat_rows, axis=0, out=c_grad)
+            np.add.reduce(inner_rows, axis=0, out=b_grad)
+            np.matmul(inner_rows_t, X[s] if z is None else z, out=w_grad)
         if k:  # the input's own gradient is not needed
-            W = params.weights[k]
-            delta = do @ W if blocks is None else _per_block(do, W, blocks)
-    for _, d in parts[1:]:
-        g.flat += d.flat
+            _product(inner, params.weights[k], spans, ws.layers[k - 1][0])
+    for d in ws.block_grads[1:]:
+        ws.grads.flat += d.flat
 
 
 def _regularised(params: MvnnParams) -> np.ndarray:
@@ -200,11 +295,12 @@ def _regularised(params: MvnnParams) -> np.ndarray:
                            + params.biases])
 
 
-def _add_l2(g: Grads, theta: np.ndarray, lam: float) -> None:
+def _add_l2(g: Grads, theta: np.ndarray, lam: float, scratch: np.ndarray | None = None) -> None:
     """Add 2 * lam * theta, the gradient of the penalty lam * ||theta||^2,
-    to the same prefix of ``g.flat``, for ``theta`` as ``_regularised``."""
+    to the same prefix of ``g.flat``, for ``theta`` as ``_regularised``;
+    ``scratch``, of theta's size, takes the product if given."""
     if lam != 0:
-        g.flat[: theta.size] += 2 * lam * theta
+        g.flat[: theta.size] += np.multiply(theta, 2 * lam, out=scratch)
 
 
 class Adam:
@@ -213,8 +309,9 @@ class Adam:
 
     The network's arrays are moved into one flat vector, ``theta``, in
     ``layout`` order and rebound as views of it, so each update is one
-    operation on that vector.  ``step`` takes the gradients of the data
-    loss alone and adds the L2 gradient itself, before clipping.
+    operation on that vector.  The moments m and v are the two rows of one
+    (2, P) matrix, stepped together.  ``step`` takes the gradients of the
+    data loss alone and adds the L2 gradient itself, before clipping.
     """
 
     def __init__(self, params: MvnnParams, hyper: TrainHyper):
@@ -222,47 +319,54 @@ class Adam:
         self.hyper = hyper
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
-        self.layout = _layout_of(params)
+        self.layout = layout = _layout_of(params)
         self.theta = np.concatenate([_regularised(params), *params.cutoffs])
-        params.weights, params.skip, params.biases, params.cutoffs = self.layout.views(self.theta)
+        params.weights, params.skip, params.biases, params.cutoffs = layout.views(self.theta)
         # frozen cutoffs are the vector's tail: only the prefix is stepped
-        self._n_step = self.layout.size if hyper.trainable_cutoffs else self.layout.n_reg
-        # the moments and two scratch buffers
-        self._m, self._v, self._a, self._b = np.zeros((4, self._n_step))
+        self._n_step = n = layout.size if hyper.trainable_cutoffs else layout.n_reg
+        # the moments, a scratch row for each, and each row's factors
+        self._moments, self._scratch = np.zeros((2, n)), np.empty((2, n))
+        self._decay = np.array([[self.beta1], [self.beta2]])
+        self._gain = np.array([[1 - self.beta1], [1 - self.beta2]])
+        self._correction = np.empty((2, 1))
+        self._stepped, self._regularised = self.theta[:n], self.theta[: layout.n_reg]
+        self._pos = self.theta[: layout.n_pos]
+        self._neg = self.theta[layout.n_pos: layout.n_reg]
+        self._cutoffs = self.theta[layout.n_reg:]
+        # frozen cutoffs at or above the floor stay there: projecting is a no-op
+        self._floor_cutoffs = hyper.trainable_cutoffs or not (self._cutoffs >= CUTOFF_FLOOR).all()
 
     def step(self, grads: Grads) -> None:
-        h, n = self.hyper, self._n_step
-        _add_l2(grads, self.theta[: self.layout.n_reg], h.l2_lambda)
+        h = self.hyper
+        a, b = self._scratch
+        _add_l2(grads, self._regularised, h.l2_lambda, a[: self.layout.n_reg])
         norm = grads.global_norm()
         if h.clip_grad_norm and norm > h.clip_grad_norm:
             grads.flat *= h.clip_grad_norm / (norm + 1e-12)
         self.t += 1
-        b1c = 1 - self.beta1**self.t
-        b2c = 1 - self.beta2**self.t
+        self._correction[0, 0] = 1 - self.beta1**self.t
+        self._correction[1, 0] = 1 - self.beta2**self.t
         # in place, in the operation order of
         #   m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
         #   theta -= lr (m / b1c) / (sqrt(v / b2c) + eps)
-        g, m, v, a, b = grads.flat[:n], self._m, self._v, self._a, self._b
-        m *= self.beta1
-        m += np.multiply(g, 1 - self.beta1, out=a)
-        np.multiply(g, 1 - self.beta2, out=a)
-        a *= g
-        v *= self.beta2
-        v += a
-        np.divide(m, b1c, out=a)
+        g = grads.flat[: self._n_step]
+        self._moments *= self._decay
+        np.multiply(g, self._gain, out=self._scratch)
+        b *= g
+        self._moments += self._scratch
+        np.divide(self._moments, self._correction, out=self._scratch)
         a *= h.learning_rate
-        np.divide(v, b2c, out=b)
         np.sqrt(b, out=b)
         b += self.eps
         a /= b
-        self.theta[:n] -= a
+        self._stepped -= a
         self.project()
 
     def project(self) -> None:
-        theta, n_pos, n_reg = self.theta, self.layout.n_pos, self.layout.n_reg
-        np.maximum(theta[:n_pos], 0.0, out=theta[:n_pos])
-        np.minimum(theta[n_pos:n_reg], 0.0, out=theta[n_pos:n_reg])
-        np.maximum(theta[n_reg:], CUTOFF_FLOOR, out=theta[n_reg:])
+        np.maximum(self._pos, 0.0, out=self._pos)
+        np.minimum(self._neg, 0.0, out=self._neg)
+        if self._floor_cutoffs:
+            np.maximum(self._cutoffs, CUTOFF_FLOOR, out=self._cutoffs)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +374,14 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 
-def _mean_data_grads(g: Grads, params: MvnnParams, X, y, hyper: TrainHyper):
-    """Write into ``g`` the gradients of the smooth-L1 batch mean; return
-    the network's outputs."""
-    out, O, Z = forward_cache(params, X)
-    out_grad = _huber_slope(out - y, hyper.smooth_l1_beta) / X.shape[0]
-    _backward(g, params, X, O, Z, out_grad)
+def _mean_data_grads(ws: _Workspace, params: MvnnParams, X, y, hyper: TrainHyper):
+    """Write into ``ws.grads`` the gradients of the smooth-L1 batch mean;
+    return the network's outputs (a view into ``ws``)."""
+    out = forward_cache(params, X, buffers=ws.forward)[0]
+    out_grad = np.subtract(out, y, out=ws.out_grad)
+    _huber_slope(out_grad, hyper.smooth_l1_beta, out=out_grad)
+    out_grad /= X.shape[0]
+    _backward(ws, params, X)
     return out
 
 
@@ -287,29 +393,36 @@ def r_squared(pred: np.ndarray, y: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def _epoch_draws(rng: np.random.Generator, epochs: int, n: int, art_shape=None):
+def _epoch_draws(rng: np.random.Generator, epochs: int, n: int, arts=None) -> np.ndarray:
     """Every epoch's random draws, made up front in the order an
     epoch-by-epoch loop makes them: a permutation of the n reports, then,
-    given ``art_shape``, that many Unif[0, 1) artificial points.  Returns
-    the permutations (epochs, n) and the points (epochs, *art_shape), or
-    None for them."""
+    given ``arts`` (epochs, n_art, m), that epoch's Unif[0, 1) artificial
+    points, written into it.  Returns the permutations (epochs, n).
+
+    Each permutation is ``rng.permutation(n)``, which shuffles
+    ``arange(n)``, and each set of points ``rng.uniform(0.0, 1.0)``'s,
+    which are ``random``'s draws times 1.0 plus 0.0: the same draws and
+    numbers, written in place."""
     perms = np.empty((epochs, n), dtype=np.intp)
-    arts = None if art_shape is None else np.empty((epochs, *art_shape))
+    perms[:] = np.arange(n)
     for e in range(epochs):
-        perms[e] = rng.permutation(n)
+        rng.shuffle(perms[e])
         if arts is not None:
-            arts[e] = rng.uniform(0.0, 1.0, size=art_shape)
-    return perms, arts
+            rng.random(out=arts[e])
+    return perms
 
 
-def _train_loop(params: MvnnParams, hyper: TrainHyper, batches, batch_grads) -> np.ndarray:
+def _train_loop(params: MvnnParams, hyper: TrainHyper, blocks: tuple[int, ...], batches,
+                batch_grads) -> np.ndarray:
     """One full-batch Adam step per item of ``batches``, one item per epoch;
     returns every epoch's flat parameters (``_Layout`` order) as an
     (epochs + 1, P) matrix whose row 0 is the start.  It only optimises:
     the caller scores the rows and keeps the best with ``_best_epoch``,
     and ``_net`` views the matrix as a stack of the epochs' networks.
-    ``batch_grads(g, params, *batch)`` writes into ``g`` the data-loss
-    gradients of that epoch's batch; ``Adam.step`` adds the L2 term.
+    ``batch_grads(ws, params, *batch)`` writes into ``ws.grads`` the
+    data-loss gradients of that epoch's batch, whose rows form blocks of
+    the sizes ``blocks``; ``ws`` is the fit's one ``_Workspace``, and
+    ``Adam.step`` adds the L2 term.
 
     Draw order: the loop draws nothing.  Each batch carries its epoch's
     draws from ``_epoch_draws``, made before the loop: the reports in a
@@ -318,14 +431,44 @@ def _train_loop(params: MvnnParams, hyper: TrainHyper, batches, batch_grads) -> 
     the artificial points.  A generator gives the same numbers whether they
     are drawn up front or epoch by epoch, so the fit is the same as well.
     """
+    ws = _Workspace(params, blocks)
     opt = Adam(params, hyper)
-    g = Grads.zeros_like(params)
-    thetas = [opt.theta.copy()]
-    for batch in batches:
-        batch_grads(g, params, *batch)
-        opt.step(g)
-        thetas.append(opt.theta.copy())
-    return np.stack(thetas)
+    thetas = np.empty((hyper.epochs + 1, opt.layout.size))
+    thetas[0] = opt.theta
+    for e, batch in enumerate(batches, 1):
+        batch_grads(ws, params, *batch)
+        opt.step(ws.grads)
+        thetas[e] = opt.theta
+    return thetas
+
+
+class _Kept(threading.local):
+    """Float64 arrays kept from fit to fit, per thread: one flat array per
+    name, grown to the largest size asked for, of which ``take`` views the
+    first entries in the shape asked for.  A fit's scoring arrays and
+    batches run to hundreds of KB; made afresh, the allocator maps them
+    anew, and their pages fault in again, on every fit.  They live here,
+    not with a caller, because ``train_uub``'s callers make one call per
+    fit; a fit writes every entry it reads, so no fit sees another's."""
+
+    def __init__(self):
+        self.flats: dict = {}
+
+    def take(self, name, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self.flats.get(name)
+        if flat is None or flat.size < size:
+            flat = self.flats[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+    def empties(self, name):
+        """An ``empty`` for ``ForwardBuffers``: its i-th array is kept as
+        (name, i)."""
+        count = itertools.count()
+        return lambda shape: self.take((name, next(count)), shape)
+
+
+_kept = _Kept()
 
 
 def _best_epoch(scores) -> int:
@@ -362,9 +505,9 @@ def train_mean(
         params = init_params(
             layer_dims, init_hyper, train_hyper.cutoff_init_range, rng, skip=skip
         )
-        perms, _ = _epoch_draws(rng, train_hyper.epochs, X.shape[0])
+        perms = _epoch_draws(rng, train_hyper.epochs, len(y))
         batch_grads = functools.partial(_mean_data_grads, hyper=train_hyper)
-        thetas = _train_loop(params, train_hyper, zip(X[perms], y[perms]), batch_grads)
+        thetas = _train_loop(params, train_hyper, (len(y),), zip(X[perms], y[perms]), batch_grads)
         layout = _layout_of(params)
         maes = _sum(np.abs(forward_cache(_net(layout, thetas), X)[0] - y)) / len(y)
         e = _best_epoch(maes)

@@ -15,21 +15,22 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import report_arrays
 from .errors import InvalidInputError
-from .mvnn import MvnnParams, forward_cache, init_params
+from .mvnn import ForwardBuffers, MvnnParams, forward_cache, init_params
 from .training import (
-    Grads,
     TrainHyper,
     _backward,
     _best_epoch,
     _epoch_draws,
     _huber,
     _huber_slope,
+    _kept,
     _layout_of,
     _net,
     _sum,
@@ -52,9 +53,10 @@ def g_gate(x):
     return 1.0 + elu(x)
 
 
-def g_gate_grad(x):
-    # exp(0) is exactly 1, the gate's slope for x >= 0
-    return np.exp(np.minimum(np.asarray(x, dtype=np.float64), 0.0))
+def g_gate_grad(x, out):
+    """The gate's slope at x, written into ``out`` (which may be x); exp(0)
+    is exactly 1, the slope for x >= 0."""
+    return np.exp(np.minimum(x, 0.0, out=out), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -159,73 +161,101 @@ def _loss_values(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta
     }
 
 
-def _loss_slopes(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta: float) -> dict:
+def _loss_slopes(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta: float,
+                 slopes=None, flags=None) -> dict:
     """Each loss term's (d/d out_tr, d/d out_art), in summation order, with
-    None where the term does not depend on that output."""
-    n_art = out_art.shape[-1]
+    None where the term does not depend on that output.  The slopes are
+    views of ``slopes``, a (3, n) and a (3, n_art) array, and their masks
+    go to ``flags``, two bool arrays of those shapes; all are made if not
+    given.  The rows hold [data, stability, -] over the reports and
+    [push_up, below_exact, above_mean] over the points, each part's terms
+    in summation order.  Every op writes in place, in the operation order
+    of the terms' formulas; the two hinge terms run as one (2, n_art)
+    pass."""
+    n, n_art = len(out_tr), len(out_art)
+    if slopes is None:
+        slopes = np.empty((3, n)), np.empty((3, n_art))
+        flags = np.empty((3, n), dtype=bool), np.empty((3, n_art), dtype=bool)
+    (tr, art), (tr_flags, art_flags) = slopes, flags
 
-    def hinge(excess, pi, sign):
-        # the slope of the penalty on the positive part of `excess`; d excess/d out_art = sign
-        c = hyper.mu_exp * hyper.c_exp * pi
-        return None, sign * c / n_art * _huber_slope(np.maximum(excess, 0.0), beta) * (excess > 0)
+    data, stability = tr[0], tr[1]
+    _huber_slope(np.subtract(out_tr, y, out=stability), beta, out=stability)
+    np.multiply(stability, hyper.mu_sqr, out=data)
+    # where r > 0 the slope at max(r, 0) is the data slope; elsewhere the mask zeroes it
+    np.maximum(stability, 0.0, out=stability)
+    stability *= 0.5
+    stability += 0.001
+    stability *= hyper.mu_sqr
+    stability *= np.greater(out_tr, y, out=tr_flags[0])
 
-    slope_tr = _huber_slope(out_tr - y, beta)
-    arg = 0.01 - hyper.c_exp * (np.minimum(out_art, exact_art) - mean_art)
-    return {
-        "data": (hyper.mu_sqr * slope_tr, None),
-        "push_up": (None, hyper.mu_exp * g_gate_grad(arg) / n_art * (-hyper.c_exp)
-                    * (out_art < exact_art)),
-        "below_exact": hinge(out_art - exact_art, hyper.pi_uub, 1.0),
-        "above_mean": hinge(mean_art - out_art, hyper.pi_mean, -1.0),
-        # where r > 0 the slope at max(r, 0) is slope_tr; elsewhere the mask zeroes it
-        "stability": (hyper.mu_sqr * (0.001 + 0.5 * np.maximum(slope_tr, 0.0)) * (out_tr > y),
-                      None),
-    }
+    push_up, hinges = art[0], art[1:]
+    np.minimum(out_art, exact_art, out=push_up)
+    push_up -= mean_art
+    push_up *= hyper.c_exp
+    g_gate_grad(np.subtract(0.01, push_up, out=push_up), out=push_up)
+    push_up *= hyper.mu_exp
+    push_up /= n_art
+    push_up *= -hyper.c_exp
+    # the soft penalties on the positive part of the excess over the exact
+    # bound (d excess/d out_art = 1) and of the shortfall below the mean (-1)
+    np.subtract(out_art, exact_art, out=hinges[0])
+    np.subtract(mean_art, out_art, out=hinges[1])
+    np.less(out_art, exact_art, out=art_flags[0])
+    np.greater(hinges, 0.0, out=art_flags[1:])
+    _huber_slope(np.maximum(hinges, 0.0, out=hinges), beta, out=hinges)
+    for row, pi, sign in ((hinges[0], hyper.pi_uub, 1.0), (hinges[1], hyper.pi_mean, -1.0)):
+        row *= sign * (hyper.mu_exp * hyper.c_exp * pi) / n_art
+    art *= art_flags  # each point term's last factor: its mask
+    return {"data": (data, None), "push_up": (None, push_up), "below_exact": (None, hinges[0]),
+            "above_mean": (None, hinges[1]), "stability": (stability, None)}
 
 
 def nomu_loss_terms(uub_net: MvnnParams, mean_net: MvnnParams, exact_net: MvnnParams, X, y, X_art,
-                    hyper: NomuHyper, beta: float) -> dict[str, float]:
+                    hyper: NomuHyper, beta: float, buffers=None) -> dict[str, float]:
     """The individual loss terms; mean and exact networks are frozen.
 
     Keys: ``data`` (fit through the reports), ``push_up`` (raise the bound
     where it is still below the exact bound), ``below_exact`` and
     ``above_mean`` (soft sandwich penalties) and ``stability`` (asymmetric
     data penalty).  The net is evaluated in one forward pass over
-    [X; X_art].  For a stack of E learned bounds (``MvnnParams.stack``)
-    each value is an (E,) array, bit for bit the values of one call per net.
+    [X; X_art], written into ``buffers`` if given (``ForwardBuffers`` for
+    those two blocks).  For a stack of E learned bounds
+    (``MvnnParams.stack``) each value is an (E,) array, bit for bit the
+    values of one call per net.
     """
     n = X.shape[0]
     if n == 0:
         raise InvalidInputError("empty training batch")
-    out = forward_cache(uub_net, np.concatenate([X, X_art]), (n, X_art.shape[0]))[0]
+    out = forward_cache(uub_net, np.concatenate([X, X_art]), (n, X_art.shape[0]), buffers)[0]
     return _loss_values(out[..., :n], out[..., n:], y, mean_net.forward(X_art),
                         exact_net.forward(X_art), hyper, beta)
 
 
 def nomu_loss(
-    uub_net, mean_net, exact_net, X, y, X_art, hyper: NomuHyper, beta: float
+    uub_net, mean_net, exact_net, X, y, X_art, hyper: NomuHyper, beta: float, buffers=None
 ) -> float | np.ndarray:
-    """The terms' sum in term order, without L2; per net for a stack."""
-    return sum(nomu_loss_terms(uub_net, mean_net, exact_net, X, y, X_art, hyper, beta).values())
+    """The terms' sum, added one by one in term order, without L2; per net
+    for a stack."""
+    terms = nomu_loss_terms(uub_net, mean_net, exact_net, X, y, X_art, hyper, beta, buffers)
+    return functools.reduce(operator.add, terms.values())
 
 
-def _nomu_grads(g: Grads, uub_net: MvnnParams, XA, y, mean_art, exact_art, hyper: NomuHyper,
+def _nomu_grads(ws, uub_net: MvnnParams, XA, y, mean_art, exact_art, hyper: NomuHyper,
                 beta: float) -> None:
-    """Write into ``g`` the gradients of the loss without L2 of ``uub_net``
-    (a single net) on ``XA``, the len(y) reports followed by the artificial
-    points, from one forward pass."""
+    """Write into ``ws.grads`` the gradients of the loss without L2 of
+    ``uub_net`` (a single net) on ``XA``, the len(y) reports followed by
+    the artificial points, from one forward pass; ``ws`` is the fit's
+    ``_Workspace``, made for those two row blocks."""
     n = len(y)
-    blocks = (n, XA.shape[0] - n)
-    out, O, Z = forward_cache(uub_net, XA, blocks)
-    gout = np.zeros_like(out)
-    for d_tr, d_art in _loss_slopes(out[:n], out[n:], y, mean_art, exact_art, hyper,
-                                    beta).values():
-        # skipping a None is adding 0.0: it would change no entry, as sums
-        # that start at +0.0 never reach -0.0
-        for part, d in ((gout[:n], d_tr), (gout[n:], d_art)):
-            if d is not None:
-                part += d
-    _backward(g, uub_net, XA, O, Z, gout, blocks)
+    out = forward_cache(uub_net, XA, buffers=ws.forward)[0]
+    tr, art = ws.slopes
+    _loss_slopes(out[:n], out[n:], y, mean_art, exact_art, hyper, beta, ws.slopes, ws.flags)
+    # the slopes' rows hold the terms in summation order; each part starts
+    # from +0.0 and takes its rows one by one (a reduce over three rows or
+    # fewer runs in row order)
+    np.add.reduce(tr[:2], axis=0, initial=0.0, out=ws.out_grad[:n])
+    np.add.reduce(art, axis=0, initial=0.0, out=ws.out_grad[n:])
+    _backward(ws, uub_net, XA)
 
 
 def _frozen_outputs(net: MvnnParams, arts: np.ndarray) -> np.ndarray:
@@ -262,24 +292,29 @@ def train_uub(reports: list[tuple[np.ndarray, float]], mean_net: MvnnParams, exa
     sample] against the frozen networks' outputs on that sample (one
     ``forward`` each per fit).  ``forward_cache``'s row rules and per-row
     sums keep every score bit for bit what one ``nomu_loss`` per epoch
-    gives, and ``_best_epoch`` keeps the first lowest.
+    gives, and ``_best_epoch`` keeps the first lowest.  The batches, the
+    points and the scoring pass's arrays are kept for the next fit (see
+    ``training._Kept``).
     """
     X, y = report_arrays(reports, layer_dims[0])
     n, m = X.shape
+    epochs, n_art = train_hyper.epochs, nomu_hyper.n_art
     rng = np.random.default_rng(seed)
     params = init_params(layer_dims, init_hyper, train_hyper.cutoff_init_range, rng, skip=skip)
 
-    X_eval = rng.uniform(0.0, 1.0, size=(max(nomu_hyper.n_art, 128), m))
-    perms, arts = _epoch_draws(rng, train_hyper.epochs, n, (nomu_hyper.n_art, m))
+    X_eval = rng.uniform(0.0, 1.0, size=(max(n_art, 128), m))
+    arts = _kept.take("arts", (epochs, n_art, m))
+    perms = _epoch_draws(rng, epochs, n, arts)
     beta = train_hyper.smooth_l1_beta
 
-    XA = np.empty((train_hyper.epochs, n + nomu_hyper.n_art, m))
+    XA = _kept.take("batches", (epochs, n + n_art, m))
     XA[:, :n] = X[perms]
     XA[:, n:] = arts
     batches = zip(XA, y[perms], _frozen_outputs(mean_net, arts), _frozen_outputs(exact_net, arts))
 
     batch_grads = functools.partial(_nomu_grads, hyper=nomu_hyper, beta=beta)
-    thetas = _train_loop(params, train_hyper, batches, batch_grads)
-    layout = _layout_of(params)
-    scores = nomu_loss(_net(layout, thetas), mean_net, exact_net, X, y, X_eval, nomu_hyper, beta)
-    return _net(layout, thetas[_best_epoch(scores)].copy())
+    thetas = _train_loop(params, train_hyper, (n, n_art), batches, batch_grads)
+    stack = _net(_layout_of(params), thetas)
+    scoring = ForwardBuffers(stack, (n + len(X_eval), m), (n, len(X_eval)), _kept.empties("scores"))
+    scores = nomu_loss(stack, mean_net, exact_net, X, y, X_eval, nomu_hyper, beta, scoring)
+    return _net(_layout_of(params), thetas[_best_epoch(scores)].copy())

@@ -89,9 +89,12 @@ def _excluded(bundle: np.ndarray, excl) -> bool:
 def _exclusion_sets(n: int, m: int, exclusions) -> list[dict | None]:
     """Per bidder, its excluded bundles as tuples, or None: the keys of a
     dict, so lookups are O(1) and the MILP adds its cuts in the given
-    order.  A bundle that is not m 0s and 1s raises ``InvalidInputError``."""
+    order.  ``exclusions`` holds one entry per bidder; another length, or
+    a bundle that is not m 0s and 1s, raises ``InvalidInputError``."""
     if exclusions is None:
         return [None] * n
+    if len(exclusions) != n:
+        raise InvalidInputError(f"exclusions hold {len(exclusions)} entries for {n} bidders")
     return [None if bundles is None else
             dict.fromkeys(tuple(as_bundle(b, m).tolist()) for b in bundles)
             for bundles in exclusions]

@@ -6,11 +6,11 @@ import numpy as np
 
 from iterauction.mvnn import forward_cache
 from iterauction.training import (
-    Grads,
     _add_l2,
     _backward,
     _mean_data_grads,
     _regularised,
+    _Workspace,
     smooth_l1,
 )
 from iterauction.uub import _loss_slopes, _nomu_grads, nomu_loss_terms
@@ -77,8 +77,9 @@ def _l2_penalty(theta, lam: float) -> float:
 
 def mean_loss_and_grads(params, X, y, hyper):
     """Smooth-L1 data loss (batch mean) plus L2 penalty, with gradients."""
-    g = Grads.zeros_like(params)
-    out = _mean_data_grads(g, params, X, y, hyper)
+    ws = _Workspace(params, (X.shape[0],))
+    out = _mean_data_grads(ws, params, X, y, hyper)
+    g = ws.grads
     data = float(smooth_l1(out, y, hyper.smooth_l1_beta).mean())
     theta = _regularised(params)
     _add_l2(g, theta, hyper.l2_lambda)
@@ -93,20 +94,19 @@ def nomu_loss_and_grads(uub_net, mean_net, exact_net, X, y, X_art, hyper, train_
     its ``_loss_slopes`` through ``_backward``."""
     beta = train_hyper.smooth_l1_beta
     terms = nomu_loss_terms(uub_net, mean_net, exact_net, X, y, X_art, hyper, beta)
-    g = Grads.zeros_like(uub_net)
     XA, n = np.concatenate([X, X_art]), X.shape[0]
+    ws = _Workspace(uub_net, (n, len(X_art)))
     mean_art, exact_art = mean_net.forward(X_art), exact_net.forward(X_art)
     if only_term is None:
-        _nomu_grads(g, uub_net, XA, y, mean_art, exact_art, hyper, beta)
+        _nomu_grads(ws, uub_net, XA, y, mean_art, exact_art, hyper, beta)
         theta = _regularised(uub_net)
-        _add_l2(g, theta, train_hyper.l2_lambda)
-        return sum(terms.values()) + _l2_penalty(theta, train_hyper.l2_lambda), g
-    blocks = (n, len(X_art))
-    out, O, Z = forward_cache(uub_net, XA, blocks)
+        _add_l2(ws.grads, theta, train_hyper.l2_lambda)
+        return sum(terms.values()) + _l2_penalty(theta, train_hyper.l2_lambda), ws.grads
+    out = forward_cache(uub_net, XA, buffers=ws.forward)[0]
     slopes = _loss_slopes(out[:n], out[n:], y, mean_art, exact_art, hyper, beta)[only_term]
-    gout = np.zeros_like(out)
-    for part, d in zip((gout[:n], gout[n:]), slopes):
+    ws.out_grad[:] = 0.0
+    for part, d in zip((ws.out_grad[:n], ws.out_grad[n:]), slopes):
         if d is not None:
             part += d
-    _backward(g, uub_net, XA, O, Z, gout, blocks)
-    return terms[only_term], g
+    _backward(ws, uub_net, XA)
+    return terms[only_term], ws.grads

@@ -9,6 +9,9 @@ piecewise smooth-L1 forms.  Only ``forward_cache`` on a single block,
 ``init_params`` and the NOMU gate come from the library.
 """
 
+import functools
+import operator
+
 import numpy as np
 
 from iterauction.mvnn import CUTOFF_FLOOR, forward_cache, init_params
@@ -89,7 +92,8 @@ def reference_adam_step(p, grads, state, hyper):
         for g, theta in zip(g_reg, regularised):
             g += 2 * hyper.l2_lambda * theta
     g_all = grads.arrays()  # weights, biases, cutoffs, skip
-    norm = float(np.sqrt(sum(float((g * g).sum()) for g in g_all)))
+    # the per-array sums added one by one, a left fold on any Python version
+    norm = float(np.sqrt(functools.reduce(operator.add, [float((g * g).sum()) for g in g_all])))
     if hyper.clip_grad_norm and norm > hyper.clip_grad_norm:
         for g in g_all:
             g *= hyper.clip_grad_norm / (norm + 1e-12)
@@ -170,7 +174,7 @@ def reference_train_uub(reports, mean_net, exact_net, nomu_hyper, hyper, init_hy
     def score(q):
         terms = reference_loss_terms(q.forward(X), q.forward(X_eval), y, mean_eval, exact_eval,
                                      nomu_hyper, beta)
-        return sum(value for value, _, _ in terms.values())
+        return functools.reduce(operator.add, [value for value, _, _ in terms.values()])
 
     def grads(q, xb, yb):
         X_art = rng.uniform(0.0, 1.0, size=(nomu_hyper.n_art, m))

@@ -1,12 +1,15 @@
 """Hand-derived gradients, projection, and mean-network training."""
 
 import functools
+import math
+import operator
 
 import numpy as np
 import pytest
 
 from iterauction.errors import InvalidInputError
 from iterauction.mvnn import (
+    ForwardBuffers,
     InitHyper,
     MvnnParams,
     forward_cache,
@@ -21,10 +24,12 @@ from iterauction.training import (
     _best_epoch,
     _epoch_draws,
     _huber_slope,
+    _kept,
     _layout_of,
     _mean_data_grads,
     _net,
     _train_loop,
+    _Workspace,
     r_squared,
     smooth_l1,
     train_mean,
@@ -156,6 +161,20 @@ class TestAdamProjection:
             opt.step(g)
             p.validate()  # weights >= 0, biases <= 0, cutoffs > 0
 
+    def test_norm_adds_the_array_sums_as_a_left_fold(self):
+        # squared sums 1e16, 1, 1, 1: a left fold loses each 1, while
+        # compensated summation (the builtin sum of floats from Python
+        # 3.12 on) keeps them and rounds the norm differently
+        p = init_params([4, 3, 1], InitHyper(), seed=5)
+        g = Grads.zeros_like(p)
+        g.weights[0][0, 0] = 1e8
+        for a in g.arrays()[1:]:
+            a.flat[0] = 1.0
+        sums = [float((a * a).sum()) for a in g.arrays()]
+        fold = functools.reduce(operator.add, sums)
+        assert math.sqrt(fold) != math.sqrt(math.fsum(sums))
+        assert g.global_norm() == math.sqrt(fold)
+
     def test_gradient_clipping_bounds_step_norm(self):
         p = init_params([4, 3, 1], InitHyper(), seed=5)
         g = Grads.zeros_like(p)
@@ -167,6 +186,22 @@ class TestAdamProjection:
 
 def param_bytes(p):
     return [a.tobytes() for a in param_arrays(p)]
+
+
+def _arrays_of(obj):
+    """Every array a workspace holds, through its lists, forward buffers
+    and gradients."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays_of(item)
+    elif isinstance(obj, ForwardBuffers):
+        for name in ForwardBuffers.__slots__:
+            yield from _arrays_of(getattr(obj, name))
+    elif isinstance(obj, (_Workspace, Grads)):
+        for item in vars(obj).values():
+            yield from _arrays_of(item)
 
 
 class TestFlatLayout:
@@ -207,21 +242,26 @@ class TestFlatLayout:
 
     @pytest.mark.parametrize("skip", [False, True])
     def test_backward_overwrites_its_reused_scratch(self, skip):
-        # the buffers of the later blocks stay on g from call to call; what
-        # they held before must not reach the gradient
+        # a fit's workspace is reused from epoch to epoch; what its buffers
+        # held before must not reach the forward pass or the gradients
         p = init_params([5, 4, 3, 1], InitHyper(), (0.1, 1.0), seed=5, skip=skip)
         X = np.random.default_rng(6).random((9, 5))
         blocks = (2, 3, 4)
-        _, O, Z = forward_cache(p, X, blocks)
         out_grad = np.linspace(-1.0, 1.0, 9)
-        fresh, reused = Grads.zeros_like(p), Grads.zeros_like(p)
-        spares = reused.spares(2)
-        for spare in spares:
-            spare.flat[:] = np.nan
-        _backward(fresh, p, X, O, Z, out_grad, blocks)
-        _backward(reused, p, X, O, Z, out_grad, blocks)
-        assert reused.flat.tobytes() == fresh.flat.tobytes()
-        assert all(a is b for a, b in zip(reused.spares(2), spares))
+
+        def gradient_bytes(ws):
+            forward_cache(p, X, buffers=ws.forward)
+            ws.out_grad[:] = out_grad
+            _backward(ws, p, X)
+            return ws.grads.flat.tobytes()
+
+        fresh = gradient_bytes(_Workspace(p, blocks))
+        reused = _Workspace(p, blocks)
+        held = list(_arrays_of(reused))
+        for a in held:
+            a[...] = True if a.dtype == bool else np.nan
+        assert gradient_bytes(reused) == fresh
+        assert all(a is b for a, b in zip(_arrays_of(reused), held))
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("trainable_cutoffs", [False, True])
@@ -290,9 +330,10 @@ class TestTrainMean:
         def fit(epochs):
             rng = np.random.default_rng(0)
             params = init_params([5, 6, 1], InitHyper(), (0.1, 1.0), rng)
-            perms, _ = _epoch_draws(rng, epochs, len(y))
+            perms = _epoch_draws(rng, epochs, len(y))
             grads = functools.partial(_mean_data_grads, hyper=TrainHyper(epochs=epochs))
-            thetas = _train_loop(params, TrainHyper(epochs=epochs), zip(X[perms], y[perms]), grads)
+            thetas = _train_loop(params, TrainHyper(epochs=epochs), (len(y),),
+                                 zip(X[perms], y[perms]), grads)
             assert thetas.shape == (epochs + 1, _layout_of(params).size)
             assert not any(np.shares_memory(thetas, a) for a in param_arrays(params))
             return thetas, _layout_of(params)
@@ -399,3 +440,28 @@ class TestAgainstEpochLoop:
         upper = train_uub(reports, mean, exact, nh, th, InitHyper(), dims, seed=k, skip=skip)
         assert upper.to_json() == reference_train_uub(reports, mean, exact, nh, th, InitHyper(),
                                                       dims, k, skip).to_json()
+
+
+class TestKeptArrays:
+    def test_fits_overwrite_the_arrays_kept_from_earlier_fits(self):
+        # train_uub keeps its batches and scoring arrays for the next fit;
+        # one of another report count and architecture, and arrays filled
+        # with NaN, must not change what the same fit gives after them
+        def fit(m, k, dims, skip):
+            reports = _random_reports(m, k, seed=10 * m + k)
+            th = TrainHyper(epochs=12)
+            mean = train_mean(reports, dims, InitHyper(), th, seed=k, skip=skip)
+            upper = train_uub(reports, mean, build_exact_uub(reports), NomuHyper(), th,
+                              InitHyper(), dims, seed=k, skip=skip)
+            return upper.to_json()
+
+        first = fit(8, 20, [8, 10, 10, 1], False)
+        fit(5, 7, [5, 40, 36, 1], True)  # fewer rows, but wider: some arrays grow
+        kept = dict(_kept.flats)
+        for a in kept.values():
+            a[:] = np.nan
+        again = fit(8, 20, [8, 10, 10, 1], False)
+        assert _kept.flats.keys() == kept.keys()
+        assert all(_kept.flats[name] is a for name, a in kept.items())
+        _kept.flats.clear()
+        assert first == again == fit(8, 20, [8, 10, 10, 1], False)

@@ -1,6 +1,8 @@
 """Exact upper bound, uncertainty loss, and upper-bound training."""
 
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -351,9 +353,9 @@ class TestTrainUub:
             mean = train_mean(reports, [m, 8, 1], InitHyper(), th, seed=0)
             exact = build_exact_uub(reports)
             params = init_params(dims, InitHyper(), (0.1, 1.0), rng, skip=skip)
-            perms, _ = _epoch_draws(rng, th.epochs, k)
-            thetas = _train_loop(params, th, zip(X[perms], y[perms]),
-                                 lambda g, p, xb, yb: _mean_data_grads(g, p, xb, yb, th))
+            perms = _epoch_draws(rng, th.epochs, k)
+            thetas = _train_loop(params, th, (k,), zip(X[perms], y[perms]),
+                                 lambda ws, p, xb, yb: _mean_data_grads(ws, p, xb, yb, th))
             X_eval = rng.uniform(0.0, 1.0, size=(128, m))
             layout = _layout_of(params)
             scores = nomu_loss(_net(layout, thetas), mean, exact, X, y, X_eval, nh,
@@ -365,10 +367,11 @@ class TestTrainUub:
                 net = _net(layout, theta.copy())
                 one = nomu_loss(net, mean, exact, X, y, X_eval, nh, th.smooth_l1_beta)
                 assert score.tobytes() == np.float64(one).tobytes()
-                # the term-by-term forms, added in term order
+                # the term-by-term forms, added one by one in term order
                 ref = reference_loss_terms(net.forward(X), net.forward(X_eval), y, mean_eval,
                                            exact_eval, nh, th.smooth_l1_beta)
-                assert score == sum(value for value, _, _ in ref.values())
+                assert score == functools.reduce(operator.add,
+                                                 [value for value, _, _ in ref.values()])
 
 
 class TestPrimitives:

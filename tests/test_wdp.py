@@ -165,7 +165,7 @@ class TestBruteForceReference:
             excl = [None if rng.random() < 0.3 else
                     [np.ones(m, dtype=np.int64), *rng.integers(0, 2, (3, m))] for _ in range(n)]
         elif exclude == "every bundle":  # the first bidder gets nothing, not even the empty bundle
-            excl = [list(itertools.product((0, 1), repeat=m))] + [None] * (n - 1)
+            excl = [list(itertools.product((0, 1), repeat=m))] + [None] * (n - 1) if n else []
         got = _solution_bits(lambda: brute_force_wdp(evs, m, exclusions=excl))
         assert got == _solution_bits(lambda: reference_brute_force_wdp(evs, m, exclusions=excl))
         if exclude == "every bundle" and n:
@@ -461,6 +461,20 @@ class TestBackendsAgree:
         nets = random_nets(2, 3, np.random.default_rng(0))
         with pytest.raises(InvalidInputError, match="bundle"):
             solve(nets, 3, [[bundle], None])
+
+    @pytest.mark.parametrize("solve", [
+        lambda nets, m, excl: brute_force_wdp([p.forward for p in nets], m, exclusions=excl),
+        lambda nets, m, excl: solve_wdp([p.forward for p in nets], m, exclusions=excl),
+        lambda nets, m, excl: milp_wdp(nets, exclusions=excl),
+    ], ids=["brute-force", "branch-and-bound", "milp"])
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_each_rejects_an_exclusions_list_of_the_wrong_length(self, solve, count):
+        # before, with three lists for two nets the MILP cut bidder 0's
+        # neuron columns with the third, while brute force and B&B ignored
+        # it; with one list, bidder 1 went unconstrained
+        nets = random_nets(2, 3, np.random.default_rng(0))
+        with pytest.raises(InvalidInputError, match="exclusions hold"):
+            solve(nets, 3, [[[1, 1, 1]]] * count)
 
 
 @st.composite
