@@ -8,7 +8,9 @@ bundles a bidder has actually reported.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
@@ -160,11 +162,14 @@ class ReportSet:
         self._index: list[dict[tuple, float]] = [{} for _ in range(n)]
 
     def add(self, bidder: int, bundle, value: float) -> None:
+        """Check one report and store it; the stored bundle is read-only, so
+        report sets may share it (see ``restricted_to``)."""
         X, y = report_arrays([(bundle, value)], self.m)
         b, value = X[0].astype(np.int64), float(y[0])
         key = tuple(int(v) for v in b)
         if key in self._index[bidder]:
             raise InvalidInputError(f"bidder {bidder} already reported bundle {key}")
+        b.flags.writeable = False
         self.per_bidder[bidder].append((b, value))
         self._index[bidder][key] = value
 
@@ -181,11 +186,12 @@ class ReportSet:
 
     def restricted_to(self, bidders: list[int]) -> "ReportSet":
         """A new report set over only `bidders`, re-indexed in the given
-        order."""
+        order.  Their reports were checked when added, and their bundles
+        are read-only, so the new set copies the lists and shares the
+        reports."""
         out = ReportSet(len(bidders), self.m)
-        for k, i in enumerate(bidders):
-            for b, v in self.per_bidder[i]:
-                out.add(k, b, v)
+        out.per_bidder = [list(self.per_bidder[i]) for i in bidders]
+        out._index = [dict(self._index[i]) for i in bidders]
         return out
 
     def to_json_obj(self) -> dict:
@@ -243,7 +249,9 @@ class AuctionInstance:
 
     def social_welfare(self, allocation) -> float:
         a = as_allocation(allocation, n=self.n, m=self.m)
-        return float(sum(self.values[i].value(a[i]) for i in range(self.n)))
+        # a left fold, which the builtin sum of floats is not from Python 3.12 on
+        return float(functools.reduce(
+            operator.add, [self.values[i].value(a[i]) for i in range(self.n)], 0.0))
 
     def to_json(self) -> str:
         obj = {

@@ -11,7 +11,9 @@ payments use reported values only.
 
 from __future__ import annotations
 
+import functools
 import logging
+import operator
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -194,7 +196,9 @@ def vcg_payments(reports: ReportSet) -> tuple[np.ndarray, np.ndarray]:
         if not others:
             continue
         without_i = solve_reported_wdp(reports.restricted_to(others)).objective
-        with_i = sum(reports.value_of(j, main.allocation[j]) or 0.0 for j in others)
+        # a left fold, which the builtin sum of floats is not from Python 3.12 on
+        with_i = functools.reduce(
+            operator.add, [reports.value_of(j, main.allocation[j]) or 0.0 for j in others], 0.0)
         payments[i] = max(0.0, without_i - with_i)
     return main.allocation, payments
 

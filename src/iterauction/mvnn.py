@@ -165,6 +165,10 @@ class MvnnParams:
 # A product of fan-in at or above this can take OpenBLAS's AVX-512
 # small-matrix kernel, which sums in another order than its general one.
 _SMALL_KERNEL_FAN_IN = 32
+# A gemv row's bits depend on its position modulo the kernel's row unroll,
+# which divides this; measured, blocks of 4, 8, 12 and 16 to 128 rows kept
+# them in one call, and blocks of 2 and 6 did not.
+_GEMV_ROW_UNROLL = 16
 
 _WHOLE = (slice(None),)  # one product over every row
 
@@ -174,25 +178,32 @@ def _row_spans(blocks: tuple[int, ...]) -> list[slice]:
     return [slice(end - size, end) for size, end in zip(blocks, itertools.accumulate(blocks))]
 
 
-def _product_spans(fan_in: int, blocks: tuple[int, ...] | None, spans):
-    """The row spans a gemm product of this fan-in over row blocks runs
-    on (see ``forward_cache``): all rows at once, unless a block has one
-    row or the fan-in can take the small-matrix kernel; then ``spans``,
-    the blocks' own."""
-    if blocks is None or (min(blocks) > 1 and fan_in < _SMALL_KERNEL_FAN_IN):
+def _product_spans(fan_in: int | None, blocks: tuple[int, ...] | None, spans):
+    """The row spans a product over row blocks runs on (see
+    ``forward_cache``): all rows at once, or ``spans``, the blocks' own.
+    A gemm product of fan-in ``fan_in`` runs at once unless a block has
+    one row or the fan-in can take the small-matrix kernel; a one-column
+    gemv product (``fan_in`` None) only over blocks of one size that is a
+    multiple of ``_GEMV_ROW_UNROLL``."""
+    if blocks is None:
         return _WHOLE
-    return spans
+    if fan_in is None:
+        whole = len(set(blocks)) == 1 and blocks[0] % _GEMV_ROW_UNROLL == 0
+    else:
+        whole = min(blocks) > 1 and fan_in < _SMALL_KERNEL_FAN_IN
+    return _WHOLE if whole else spans
 
 
 class ForwardBuffers:
     """Every array that ``forward_cache`` writes, for one architecture, one
     input shape and one split into row blocks: each hidden layer's
     pre-activations ``O`` and outputs ``Z``, the output and the skip
-    product, as (..., rows, d) arrays, and the row slices each product runs
-    over.  Training makes one per fit and reuses it every epoch; a
-    caller may pass ``empty`` to take the arrays from storage of its own."""
+    product, as (..., rows, d) arrays, the blocks' row slices ``spans``
+    and the row slices each product runs over.  Training makes one per fit
+    and reuses it every epoch; a caller may pass ``empty`` to take the
+    arrays from storage of its own."""
 
-    __slots__ = ("O", "Z", "out", "skip_out", "spans", "hidden_spans")
+    __slots__ = ("O", "Z", "out", "skip_out", "spans", "hidden_spans", "out_spans")
 
     def __init__(self, params: MvnnParams, shape: tuple[int, ...],
                  blocks: tuple[int, ...] | None = None, empty=np.empty):
@@ -205,6 +216,7 @@ class ForwardBuffers:
         self.spans = _WHOLE if blocks is None else _row_spans(blocks)
         self.hidden_spans = [_product_spans(W.shape[-1], blocks, self.spans)
                              for W in params.weights[:-1]]
+        self.out_spans = _product_spans(None, blocks, self.spans)
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -214,17 +226,23 @@ class ForwardBuffers:
         buf = object.__new__(ForwardBuffers)
         buf.O = buf.Z = (None,) * num_hidden
         buf.out = buf.skip_out = None
-        buf.spans, buf.hidden_spans = _WHOLE, (_WHOLE,) * num_hidden
+        buf.spans = buf.out_spans = _WHOLE
+        buf.hidden_spans = (_WHOLE,) * num_hidden
         return buf
 
 
 def _product(a: np.ndarray, B: np.ndarray, spans, out: np.ndarray | None):
     """``a @ B`` written into ``out``, rows being axis -2: once over all
-    rows, or once per row span into that span's rows."""
+    rows, or once per row span into that span's rows.  Two matrices go
+    through ``ndarray.dot``, which gives ``np.matmul``'s bits at less cost
+    per call (``np.dot``'s, without its dispatch); a stack goes through
+    ``np.matmul``.  Both write into a C-contiguous ``out``, as every
+    buffer's row span is."""
+    product = np.ndarray.dot if a.ndim == B.ndim == 2 else np.matmul
     if spans is _WHOLE:
-        return np.matmul(a, B, out=out)
+        return product(a, B, out=out)
     for s in spans:
-        np.matmul(a[..., s, :], B, out=out[..., s, :])
+        product(a[..., s, :], B, out=out[..., s, :])
     return out
 
 
@@ -246,9 +264,12 @@ def forward_cache(params: MvnnParams, X: np.ndarray, blocks: tuple[int, ...] | N
 
     - a gemm row has the same bits wherever it sits in the batch, so a
       hidden layer's product runs once over all rows;
-    - a gemv row does not, so the one-column output and skip products run
-      once per block.  A one-row block makes its hidden products gemv too,
-      and a fan-in of 32 or more can take the small-matrix kernel, so such
+    - a gemv row does not: its bits depend on its position modulo the
+      kernel's row unroll.  So the one-column output and skip products run
+      once per block, unless the blocks are of one size that keeps every
+      row's position modulo ``_GEMV_ROW_UNROLL``; then they run once over
+      all rows.  A one-row block makes its hidden products gemv too, and a
+      fan-in of 32 or more can take the small-matrix kernel, so such
       products also run per block.
 
     Each block's product is written into its rows of the layer's buffer,
@@ -275,9 +296,9 @@ def forward_cache(params: MvnnParams, X: np.ndarray, blocks: tuple[int, ...] | N
         np.minimum(z, t[..., None, :], out=z)
         O.append(o)
         Z.append(z)
-    out = _product(Z[-1], params.weights[-1].swapaxes(-1, -2), buffers.spans, buffers.out)
+    out = _product(Z[-1], params.weights[-1].swapaxes(-1, -2), buffers.out_spans, buffers.out)
     if params.skip is not None:
-        out += _product(X, params.skip[..., None], buffers.spans, buffers.skip_out)
+        out += _product(X, params.skip[..., None], buffers.out_spans, buffers.skip_out)
     return out[..., 0], O, Z
 
 

@@ -264,11 +264,12 @@ def _backward(ws: _Workspace, params: MvnnParams, X) -> None:
     ``forward_cache``), into that block's gradients, and ``ws.grads`` is
     the first block's with each later block's added in order: bit for bit
     the sum of one call per block.  The elementwise work runs once over all
-    rows.  Every op writes through ``out=``, into ``ws``."""
+    rows.  Every op writes through ``out=``, into ``ws``; the products go
+    through ``ndarray.dot``, as ``mvnn._product``'s do."""
     for s, out_grad, z, w_grad, skip_grad in ws.output_blocks:
-        np.matmul(out_grad, X[s] if z is None else z, out=w_grad)
+        out_grad.dot(X[s] if z is None else z, out=w_grad)
         if skip_grad is not None:
-            np.matmul(out_grad, X[s], out=skip_grad)
+            out_grad.dot(X[s], out=skip_grad)
     if ws.layers:
         np.multiply(ws.out_grad_column, params.weights[-1], out=ws.layers[-1][0])
     for k in range(len(ws.layers) - 1, -1, -1):
@@ -282,7 +283,7 @@ def _backward(ws: _Workspace, params: MvnnParams, X) -> None:
         for s, sat_rows, inner_rows, inner_rows_t, z, c_grad, b_grad, w_grad in blocks:
             np.add.reduce(sat_rows, axis=0, out=c_grad)
             np.add.reduce(inner_rows, axis=0, out=b_grad)
-            np.matmul(inner_rows_t, X[s] if z is None else z, out=w_grad)
+            inner_rows_t.dot(X[s] if z is None else z, out=w_grad)
         if k:  # the input's own gradient is not needed
             _product(inner, params.weights[k], spans, ws.layers[k - 1][0])
     for d in ws.block_grads[1:]:
@@ -402,13 +403,15 @@ def _epoch_draws(rng: np.random.Generator, epochs: int, n: int, arts=None) -> np
     Each permutation is ``rng.permutation(n)``, which shuffles
     ``arange(n)``, and each set of points ``rng.uniform(0.0, 1.0)``'s,
     which are ``random``'s draws times 1.0 plus 0.0: the same draws and
-    numbers, written in place."""
+    numbers, written in place.  Without points, one ``rng.permuted`` call
+    shuffles the rows in order, as one shuffle per row does."""
     perms = np.empty((epochs, n), dtype=np.intp)
     perms[:] = np.arange(n)
+    if arts is None:
+        return rng.permuted(perms, axis=1, out=perms)
     for e in range(epochs):
         rng.shuffle(perms[e])
-        if arts is not None:
-            rng.random(out=arts[e])
+        rng.random(out=arts[e])
     return perms
 
 

@@ -261,13 +261,17 @@ def _nomu_grads(ws, uub_net: MvnnParams, XA, y, mean_art, exact_art, hyper: Nomu
 def _frozen_outputs(net: MvnnParams, arts: np.ndarray) -> np.ndarray:
     """``net`` on every epoch's artificial points ``arts`` (epochs, n_art,
     m), as (epochs, n_art): bit for bit one ``forward`` per epoch, in calls
-    of whole epochs sized to keep OpenBLAS on one thread."""
+    of whole epochs sized to keep OpenBLAS on one thread, whose arrays are
+    kept for the next call (see ``training._Kept``)."""
     epochs, n_art, m = arts.shape
     per_call = max(1, _FROZEN_CALL_MACS // (n_art * max(W.size for W in net.weights)))
-    return np.concatenate([
-        forward_cache(net, chunk.reshape(-1, m), (n_art,) * len(chunk))[0]
-        for chunk in np.split(arts, range(per_call, epochs, per_call))
-    ]).reshape(epochs, n_art)
+    outs = np.empty((epochs, n_art))
+    for start in range(0, epochs, per_call):
+        chunk = arts[start:start + per_call].reshape(-1, m)
+        blocks = (n_art,) * (len(chunk) // n_art)
+        buffers = ForwardBuffers(net, chunk.shape, blocks, _kept.empties("frozen"))
+        outs[start:start + per_call] = forward_cache(net, chunk, buffers=buffers)[0].reshape(-1, n_art)
+    return outs
 
 
 def train_uub(reports: list[tuple[np.ndarray, float]], mean_net: MvnnParams, exact_net: MvnnParams,

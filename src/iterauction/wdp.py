@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -427,37 +428,65 @@ def solve_wdp(evaluators, m: int, budget: SolveBudget | None = None, exclusions=
 # ---------------------------------------------------------------------------
 
 
+def _bit_code(bundle: np.ndarray) -> int:
+    """A 0/1 bundle as a Python int, item 0 the most significant of its m
+    bits: codes of one length compare as their bundles do, item by item."""
+    return int.from_bytes(np.packbits(bundle).tobytes(), "big") >> (-len(bundle) % 8)
+
+
 def solve_reported_wdp(reports) -> WdpSolution:
     """Each bidder receives one of their reported bundles or nothing; bundles
-    must be item-disjoint.  Exhaustive search over the report choices."""
-    n, m = reports.n, reports.m
-    options = []
-    for i in range(n):
-        opts = [(np.zeros(m, dtype=np.int64), 0.0)]
-        for b, v in reports.per_bidder[i]:
-            if b.sum() > 0:
-                opts.append((b, v))
-        options.append(opts)
-    best = {"w": None, "alloc": None}
-    alloc = np.zeros((n, m), dtype=np.int64)
-    nodes = 0
+    must be item-disjoint.
 
-    def recurse(i: int, used: np.ndarray, w: float):
-        nonlocal nodes
+    A depth-first search over the report choices: bidders in index order,
+    each taking nothing first, then its nonempty reports in report order.
+    A leaf's welfare is its values added in bidder order from 0.0, and
+    ``_better`` decides whether it becomes the incumbent.  Bundles are
+    ``_bit_code``s, so a conflict is ``code & used``, and a list of the
+    bidders' codes compares as the flattened allocation does.
+
+    A node's bound is its welfare plus, bidder by bidder, each later
+    bidder's largest value among nothing and its reports disjoint from the
+    items used.  Float addition is monotone, so no leaf below the node sums
+    above its bound.  A node whose bound is below ``best -
+    WELFARE_TIE_TOL`` is cut off: ``_better`` would reject each of its
+    leaves, whatever their allocations, and leave the incumbent as it is.
+    So the search takes the incumbents of the exhaustive search, in the
+    same order, and returns its allocation and objective bit for bit;
+    ``nodes`` counts the nodes visited."""
+    n, m = reports.n, reports.m
+    options = [[(0, 0.0)] + [(_bit_code(b), v) for b, v in pairs if b.any()]
+               for pairs in reports.per_bidder]
+    # per bidder, its options by value, highest first, for the bound
+    ranked = [sorted(opts, key=operator.itemgetter(1), reverse=True) for opts in options]
+    codes = [0] * n
+    best_w, best_codes, nodes = None, None, 0
+
+    def visit(i: int, used: int, w: float):
+        nonlocal best_w, best_codes, nodes
         nodes += 1
         if i == n:
-            bf = None if best["alloc"] is None else best["alloc"].ravel()
-            if _better(w, alloc.ravel(), best["w"], bf):
-                best["w"], best["alloc"] = w, alloc.copy()
+            if _better(w, codes, best_w, best_codes):
+                best_w, best_codes = w, tuple(codes)
             return
-        for b, v in options[i]:
-            if (used + b).max() <= 1:
-                alloc[i] = b
-                recurse(i + 1, used + b, w + v)
-        alloc[i] = 0
+        if best_w is not None:
+            bound = w
+            for rank in ranked[i:]:
+                for code, v in rank:  # ends at the empty bundle at the latest
+                    if not code & used:
+                        bound += v
+                        break
+            if bound < best_w - WELFARE_TIE_TOL:
+                return
+        for code, v in options[i]:
+            if not code & used:
+                codes[i] = code
+                visit(i + 1, used | code, w + v)
 
-    recurse(0, np.zeros(m, dtype=np.int64), 0.0)
-    return WdpSolution(allocation=best["alloc"], objective=best["w"], nodes=nodes)
+    visit(0, 0, 0.0)
+    allocation = np.array([[code >> (m - 1 - j) & 1 for j in range(m)] for code in best_codes],
+                          dtype=np.int64)
+    return WdpSolution(allocation=allocation, objective=best_w, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +677,9 @@ def solve_model(model: WdpModel) -> tuple[np.ndarray, float, float]:
     )
     if res.status != 0:
         raise InvalidInputError(f"MILP solve failed: {res.message}")
-    objective = model.objective_const + sum(w * float(res.x[v]) for v, w in model.objective.items())
+    # a left fold, which the builtin sum of floats is not from Python 3.12 on
+    objective = model.objective_const + functools.reduce(
+        operator.add, [w * float(res.x[v]) for v, w in model.objective.items()], 0.0)
     return res.x, objective, float(res.mip_gap or 0.0)
 
 

@@ -1,15 +1,26 @@
-"""Brute-force winner determination, row by row, as the reference that
-``wdp.brute_force_wdp`` must match bit for bit.
+"""Reference winner determination, which the library's solvers must match
+bit for bit.
 
-Every one of the (n+1)^m assignments is decoded into its base-(n+1)
+``reference_brute_force_wdp`` is the reference for ``wdp.brute_force_wdp``:
+every one of the (n+1)^m assignments is decoded into its base-(n+1)
 digits, each bidder's (B, m) bundle matrix is built from them and valued
 on every row, and the welfare sums those values in bidder order.  Only
 the block size, the size limit, the tie rule (``_better``) and the
 reading of exclusions come from the library.
+
+``reference_reported_wdp`` is the reference for
+``wdp.solve_reported_wdp``: the exhaustive search over every bidder's
+report choices, on 0/1 arrays, with no bound.  ``reference_vcg_payments``
+is ``mechanism.vcg_payments`` on it, each marginal economy's reports
+re-added one by one into a fresh ``ReportSet``.
 """
+
+import functools
+import operator
 
 import numpy as np
 
+from iterauction.domain import ReportSet
 from iterauction.errors import InvalidInputError, UnsupportedSizeError
 from iterauction.wdp import (
     BRUTE_FORCE_CHUNK,
@@ -61,3 +72,53 @@ def reference_brute_force_wdp(evaluators, m: int, exclusions=None) -> WdpSolutio
     if best_alloc is None:
         raise InvalidInputError("exclusions rule out every assignment")
     return WdpSolution(allocation=best_alloc, objective=best_w, nodes=total)
+
+
+def reference_reported_wdp(reports) -> WdpSolution:
+    n, m = reports.n, reports.m
+    options = []
+    for i in range(n):
+        opts = [(np.zeros(m, dtype=np.int64), 0.0)]
+        for b, v in reports.per_bidder[i]:
+            if b.sum() > 0:
+                opts.append((b, v))
+        options.append(opts)
+    best = {"w": None, "alloc": None}
+    alloc = np.zeros((n, m), dtype=np.int64)
+    nodes = 0
+
+    def recurse(i: int, used: np.ndarray, w: float):
+        nonlocal nodes
+        nodes += 1
+        if i == n:
+            bf = None if best["alloc"] is None else best["alloc"].ravel()
+            if _better(w, alloc.ravel(), best["w"], bf):
+                best["w"], best["alloc"] = w, alloc.copy()
+            return
+        for b, v in options[i]:
+            if (used + b).max() <= 1:
+                alloc[i] = b
+                recurse(i + 1, used + b, w + v)
+        alloc[i] = 0
+
+    recurse(0, np.zeros(m, dtype=np.int64), 0.0)
+    return WdpSolution(allocation=best["alloc"], objective=best["w"], nodes=nodes)
+
+
+def reference_vcg_payments(reports) -> tuple[np.ndarray, np.ndarray]:
+    n = reports.n
+    main = reference_reported_wdp(reports)
+    payments = np.zeros(n)
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        if not others:
+            continue
+        marginal = ReportSet(n - 1, reports.m)
+        for k, j in enumerate(others):
+            for b, v in reports.per_bidder[j]:
+                marginal.add(k, b, v)
+        without_i = reference_reported_wdp(marginal).objective
+        with_i = functools.reduce(
+            operator.add, [reports.value_of(j, main.allocation[j]) or 0.0 for j in others], 0.0)
+        payments[i] = max(0.0, without_i - with_i)
+    return main.allocation, payments

@@ -1,6 +1,8 @@
 """Bundles, allocations, report sets and instances."""
 
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -70,6 +72,24 @@ class TestReportSet:
         rs.add(2, [1, 1], 0.9)
         sub = rs.restricted_to([2])
         assert sub.n == 1 and sub.value_of(0, [1, 1]) == 0.9
+
+    def test_restricted_to_shares_read_only_reports_in_lists_of_its_own(self):
+        # the restricted set shares the checked reports, so a stored bundle
+        # cannot be written; adding to either set leaves the other as it is
+        rs = ia.ReportSet(3, 2)
+        rs.add(0, [1, 0], 0.4)
+        rs.add(2, [1, 1], 0.9)
+        rs.add(2, [0, 1], 0.5)
+        sub = rs.restricted_to([2, 0])
+        assert sub.per_bidder[0] == rs.per_bidder[2] and sub.per_bidder[1] == rs.per_bidder[0]
+        assert all(b is c for (b, _), (c, _) in zip(sub.per_bidder[0], rs.per_bidder[2]))
+        with pytest.raises(ValueError):
+            rs.per_bidder[2][0][0][0] = 0
+        sub.add(0, [1, 0], 0.6)
+        rs.add(0, [0, 1], 0.1)
+        assert rs.count(2) == 2 and rs.value_of(2, [1, 0]) is None
+        assert sub.count(1) == 1 and sub.value_of(1, [0, 1]) is None
+        assert sub.value_of(0, [1, 0]) == 0.6 and sub.bundles_of(0) == {(1, 1), (0, 1), (1, 0)}
 
     def test_json_round_trip(self):
         rs = ia.ReportSet(2, 2)
@@ -161,6 +181,17 @@ class TestReportArrays:
     def test_every_reader_rejects_a_malformed_report(self, reader, case):
         with pytest.raises(InvalidInputError):
             READERS[reader](MALFORMED[case])
+
+
+class TestSocialWelfare:
+    def test_bidder_values_are_added_left_to_right(self):
+        # the builtin sum of floats is compensated from Python 3.12 on and
+        # would give 1e16 + 2 here
+        values = [1e16, 1.0, 1.0]
+        inst = ia.generate_instance(ia.GeneratorConfig(n=3, m=2), seed=0)
+        inst.values = [SimpleNamespace(value=lambda b, v=v: v) for v in values]
+        assert math.fsum(values) != 1e16
+        assert inst.social_welfare(ia.empty_allocation(3, 2)) == 1e16
 
 
 class TestEfficiencyLoss:

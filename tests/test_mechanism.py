@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -136,6 +137,24 @@ class TestVcg:
         alloc, pay = vcg_payments(rs)
         assert alloc.tolist() == [[1, 0], [0, 1]]
         assert pay.tolist() == pytest.approx([0.0, 0.0], abs=1e-9)
+
+    def test_others_values_are_added_left_to_right(self):
+        # bidder 0 wins nothing, and its payment is the others' optimum,
+        # 1e16 + 16 by the search's left-to-right sum, less their values in
+        # the main allocation, [1e16 + 8, 3.0, 3.0], added left to right too;
+        # the builtin sum of floats is compensated from Python 3.12 on and
+        # would make it 2.0
+        rs = ia.ReportSet(4, 3)
+        rs.add(0, [1, 0, 1], 6.0)
+        rs.add(1, [0, 1, 0], 1e16 + 8)
+        rs.add(2, [1, 1, 1], 1.0)
+        rs.add(2, [0, 0, 1], 3.0)
+        rs.add(3, [0, 0, 1], 1.0)
+        rs.add(3, [1, 0, 0], 3.0)
+        alloc, pay = vcg_payments(rs)
+        assert alloc.tolist() == [[0, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        assert math.fsum([1e16 + 8, 3.0, 3.0]) == 1e16 + 14
+        assert pay.tolist() == [0.0, 0.0, 2.0, 2.0]
 
     def test_payments_clamped_nonnegative(self):
         rs = ia.ReportSet(2, 2)

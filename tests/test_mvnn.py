@@ -1,11 +1,15 @@
 """Monotone network structure, evaluation, and initialization."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from iterauction.errors import InvalidInputError
 from iterauction.mvnn import (
+    _WHOLE,
+    ForwardBuffers,
     InitHyper,
     MvnnParams,
     forward_cache,
@@ -162,15 +166,19 @@ class TestStack:
 class TestBlockedForward:
     """Training evaluates row blocks in one ``forward_cache`` call.  That is
     bit for bit one call per block only while the BLAS gives a gemm row the
-    same bits wherever it sits in the batch, and the blocked call keeps
-    every one-column (gemv) product per block; a BLAS that breaks either
-    rule fails here."""
+    same bits wherever it sits in the batch, and a one-column (gemv) row
+    the same bits wherever its position modulo ``_GEMV_ROW_UNROLL`` is
+    kept: the blocked call runs every gemv product per block, except over
+    equal blocks of a multiple of that many rows.  A BLAS that breaks
+    either rule fails here; blocks of 2 and 6 rows give other bits in one
+    gemv call than per block on OpenBLAS 0.3.31 (Haswell kernels)."""
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("dims", [[5, 10, 10, 1], [8, 10, 10, 1], [18, 10, 10, 1], [8, 3, 1],
                                       [40, 10, 1], [8, 40, 36, 1]])
     @pytest.mark.parametrize("blocks", [(1, 64), (2, 64), (64, 64), (20, 64), (7, 128),
-                                        (1, 1, 2), (64,) * 5])
+                                        (1, 1, 2), (64,) * 5, (16,) * 4, (32,) * 3, (12,) * 4,
+                                        (6,) * 6, (2,) * 8])
     def test_equals_one_call_per_block(self, skip, dims, blocks):
         rng = np.random.default_rng(sum(blocks) + len(dims))
         net = init_params(dims, InitHyper(), (0.1, 1.0), seed=len(blocks), skip=skip)
@@ -188,9 +196,21 @@ class TestBlockedForward:
             start += size
         assert start == X.shape[0] == out.shape[0]
 
+    @pytest.mark.parametrize("blocks, whole", [
+        ((64,) * 5, True), ((16,) * 4, True), ((32,) * 3, True), ((48,), True),
+        ((64, 64, 32), False), ((20, 64), False), ((12,) * 4, False), ((6,) * 6, False),
+        ((8,), False)])
+    def test_gemv_products_run_once_only_over_equal_aligned_blocks(self, blocks, whole):
+        net = init_params([8, 10, 10, 1], InitHyper(), (0.1, 1.0), seed=0, skip=True)
+        buf = ForwardBuffers(net, (sum(blocks), 8), blocks)
+        assert buf.out_spans == (_WHOLE if whole else buf.spans)
+        assert buf.spans == [slice(end - size, end) for size, end
+                             in zip(blocks, itertools.accumulate(blocks))]
+
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("dims", [[5, 10, 10, 1], [8, 3, 1], [40, 10, 1], [8, 40, 36, 1]])
-    @pytest.mark.parametrize("blocks", [(1, 64), (2, 64), (7, 128), (1, 1, 2), (64,) * 3])
+    @pytest.mark.parametrize("blocks", [(1, 64), (2, 64), (7, 128), (1, 1, 2), (64,) * 3,
+                                        (16,) * 4, (6,) * 6])
     def test_epoch_stack_equals_one_call_per_net_and_block(self, skip, dims, blocks):
         # training scores a fit's epochs as one stack: views of an (E, P)
         # matrix of flat parameter vectors, on a batch shared by every net

@@ -319,10 +319,11 @@ class TestTrainUub:
         assert np.mean(gaps[1.0]) >= np.mean(gaps[0.01]) - 1e-9
 
     @pytest.mark.parametrize("k", [12, 40])
-    @pytest.mark.parametrize("n_art", [1, 5, 64])
+    @pytest.mark.parametrize("n_art", [1, 5, 12, 16, 64])
     def test_frozen_outputs_equal_one_forward_per_epoch(self, k, n_art):
         # whole epochs per call; an exact bound over 40 reports has a
-        # hidden fan-in above 32, which runs per block
+        # hidden fan-in above 32, which runs per block; 16 and 64 points
+        # run the output and skip products once per call
         rng = np.random.default_rng(k + n_art)
         m = 18
         reports = random_reports(m, rng, extra=k - 1)

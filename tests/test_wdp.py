@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import iterauction as ia
 from iterauction import wdp
 from iterauction.errors import InvalidInputError, UnsupportedSizeError
+from iterauction.mechanism import vcg_payments
 from iterauction.mvnn import InitHyper, MvnnParams, init_params
 from iterauction.values import KINDS, _random_model
 from iterauction.wdp import (
@@ -28,7 +29,11 @@ from iterauction.wdp import (
 )
 
 from _oracles import check_encoding_at, lemma_assignment
-from _reference_wdp import reference_brute_force_wdp
+from _reference_wdp import (
+    reference_brute_force_wdp,
+    reference_reported_wdp,
+    reference_vcg_payments,
+)
 
 
 def random_nets(n, m, rng, hidden=(4,), skip=False):
@@ -796,6 +801,16 @@ class TestLpRoundTrip:
         nets = random_nets(2, 3, rng)
         assert emit_lp_file(encode_milp(nets)) == emit_lp_file(encode_milp(nets))
 
+    def test_objective_terms_are_added_left_to_right(self):
+        # the builtin sum of floats is compensated from Python 3.12 on and
+        # would give 1e16 + 2 here
+        model = wdp.WdpModel()
+        cols = [model.add_var(f"x{k}", 1.0, 1.0, integer=True) for k in range(3)]
+        model.add_constraint("c", {cols[0]: 1.0}, -np.inf, 1.0)
+        model.objective = dict(zip(cols, [1e16, 1.0, 1.0]))
+        assert math.fsum(model.objective.values()) != 1e16
+        assert solve_model(model)[1] == 1e16
+
     def test_objective_constant_survives(self):
         rng = np.random.default_rng(12)
         nets = random_nets(1, 3, rng)
@@ -839,3 +854,95 @@ class TestReportedWdp:
         sol = solve_reported_wdp(rs)
         assert sol.allocation.tolist() == [[1], [0]]
         assert sol.objective == pytest.approx(0.9)
+
+
+def _reported(n: int, m: int, reports) -> ia.ReportSet:
+    """A report set from per-bidder lists of (bundle code, value), item j
+    being bit j of the code."""
+    rs = ia.ReportSet(n, m)
+    for i, pairs in enumerate(reports):
+        for code, value in pairs:
+            rs.add(i, [code >> j & 1 for j in range(m)], value)
+    return rs
+
+
+@st.composite
+def report_sets(draw):
+    """n <= 4 bidders over m <= 7 items, each with up to six distinct
+    reports, the empty bundle among them at 0 or none at all; values exact
+    ties (small integers), near ties (integers jittered within 2 tie
+    tolerances) or free."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["exact", "near", "free"]))
+    value = {"exact": st.integers(0, 3).map(float),
+             "near": st.tuples(st.integers(1, 3), st.floats(-2.0, 2.0)).map(
+                 lambda t: t[0] + t[1] * wdp.WELFARE_TIE_TOL),
+             "free": st.floats(0.0, 1.0)}[kind]
+    reports = [[(code, 0.0 if code == 0 else draw(value))
+                for code in draw(st.lists(st.integers(0, 2**m - 1), max_size=6, unique=True))]
+               for _ in range(n)]
+    return _reported(n, m, reports)
+
+
+def _assert_same_as_reference(rs):
+    sol, ref = solve_reported_wdp(rs), reference_reported_wdp(rs)
+    assert sol.allocation.dtype == ref.allocation.dtype and sol.allocation.shape == ref.allocation.shape
+    assert sol.allocation.tobytes() == ref.allocation.tobytes()
+    assert type(sol.objective) is type(ref.objective)
+    assert np.float64(sol.objective).tobytes() == np.float64(ref.objective).tobytes()
+    assert sol.nodes <= ref.nodes
+    alloc, pay = vcg_payments(rs)
+    ref_alloc, ref_pay = reference_vcg_payments(rs)
+    assert alloc.tobytes() == ref_alloc.tobytes() and pay.tobytes() == ref_pay.tobytes()
+    return sol, ref
+
+
+class TestReportedWdpAgainstReference:
+    """The bounded search returns the exhaustive search's allocation and
+    objective bit for bit, and VCG the same payments."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(report_sets())
+    def test_random_report_sets(self, rs):
+        _assert_same_as_reference(rs)
+
+    @pytest.mark.parametrize("n, m, per_bidder, density", [(5, 12, 8, 0.3), (3, 70, 10, 0.1)])
+    def test_larger_report_sets(self, n, m, per_bidder, density):
+        # m = 70: bit codes beyond 64 bits
+        rng = np.random.default_rng(n * m)
+        rs = ia.ReportSet(n, m)
+        for i in range(n):
+            while rs.count(i) < per_bidder:
+                b = (rng.random(m) < density).astype(np.int64)
+                if b.any() and rs.value_of(i, b) is None:
+                    rs.add(i, b, float(rng.random()) * b.sum())
+        sol, ref = _assert_same_as_reference(rs)
+        assert sol.nodes < ref.nodes
+
+    def test_a_tie_chain_far_below_its_peak(self, monkeypatch):
+        # bidder 2 reports items 0..11 in turn, each worth 0.9 tolerances
+        # less than the one before.  Under each choice of bidders 0 and 1
+        # its reports tie with the incumbent one after another and are
+        # lexicographically smaller, so the incumbent keeps falling: it
+        # ends 8.1 tolerances below its peak, more than the (n + 2)
+        # tolerances a margin-and-guard design would allow.  Cut-off nodes
+        # still hold no leaf that _better would take, and the answer is
+        # the reference's
+        tol = wdp.WELFARE_TIE_TOL
+        chain = [(1 << j, 1.0 - 0.9 * j * tol) for j in range(12)]
+        rs = _reported(3, 12, [[(1 << 11, 1e-3), (0b11, 0.25)], [(2**12 - 1, 0.5)], chain])
+        seen, better = [], wdp._better
+
+        def recording(w, alloc_flat, best_w, best_flat):
+            took = better(w, alloc_flat, best_w, best_flat)
+            if took:
+                seen.append(w)
+            return took
+
+        monkeypatch.setattr(wdp, "_better", recording)
+        sol = solve_reported_wdp(rs)
+        monkeypatch.undo()
+        assert max(seen) - seen[-1] > (rs.n + 2) * tol
+        assert seen[-1] == sol.objective
+        sol, ref = _assert_same_as_reference(rs)
+        assert sol.nodes < ref.nodes
