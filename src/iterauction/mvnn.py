@@ -10,7 +10,6 @@ by construction.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -173,6 +172,17 @@ _GEMV_ROW_UNROLL = 16
 _WHOLE = (slice(None),)  # one product over every row
 
 
+def _operand(x) -> np.ndarray:
+    """x as a 0-d float64 array: an op's bits are the same, and numpy need
+    not convert a Python number each call (0.2 us of a 0.5 us small op)."""
+    operand = np.array(x, dtype=np.float64)
+    operand.flags.writeable = False
+    return operand
+
+
+_ZERO = _operand(0.0)
+
+
 def _row_spans(blocks: tuple[int, ...]) -> list[slice]:
     """The row slices of consecutive blocks of these sizes."""
     return [slice(end - size, end) for size, end in zip(blocks, itertools.accumulate(blocks))]
@@ -181,96 +191,113 @@ def _row_spans(blocks: tuple[int, ...]) -> list[slice]:
 def _product_spans(fan_in: int | None, blocks: tuple[int, ...] | None, spans):
     """The row spans a product over row blocks runs on (see
     ``forward_cache``): all rows at once, or ``spans``, the blocks' own.
-    A gemm product of fan-in ``fan_in`` runs at once unless a block has
-    one row or the fan-in can take the small-matrix kernel; a one-column
-    gemv product (``fan_in`` None) only over blocks of one size that is a
-    multiple of ``_GEMV_ROW_UNROLL``."""
+    A gemm product of fan-in ``fan_in`` runs at once only when every block
+    has an even number of rows and the fan-in cannot take the small-matrix
+    kernel; a one-column gemv product (``fan_in`` None) only over blocks of
+    one size that is a multiple of ``_GEMV_ROW_UNROLL``."""
     if blocks is None:
         return _WHOLE
     if fan_in is None:
         whole = len(set(blocks)) == 1 and blocks[0] % _GEMV_ROW_UNROLL == 0
     else:
-        whole = min(blocks) > 1 and fan_in < _SMALL_KERNEL_FAN_IN
+        whole = all(size % 2 == 0 for size in blocks) and fan_in < _SMALL_KERNEL_FAN_IN
     return _WHOLE if whole else spans
 
 
-class ForwardBuffers:
-    """Every array that ``forward_cache`` writes, for one architecture, one
-    input shape and one split into row blocks: each hidden layer's
-    pre-activations ``O`` and outputs ``Z``, the output and the skip
-    product, as (..., rows, d) arrays, the blocks' row slices ``spans``
-    and the row slices each product runs over.  Training makes one per fit
-    and reuses it every epoch; a caller may pass ``empty`` to take the
-    arrays from storage of its own."""
-
-    __slots__ = ("O", "Z", "out", "skip_out", "spans", "hidden_spans", "out_spans")
-
-    def __init__(self, params: MvnnParams, shape: tuple[int, ...],
-                 blocks: tuple[int, ...] | None = None, empty=np.empty):
-        lead, rows = params.weights[0].shape[:-2] or shape[:-2], shape[-2]
-        hidden = [(*lead, rows, W.shape[-2]) for W in params.weights[:-1]]
-        self.O = [empty(dims) for dims in hidden]
-        self.Z = [empty(dims) for dims in hidden]
-        self.out = empty((*lead, rows, 1))
-        self.skip_out = None if params.skip is None else empty((*lead, rows, 1))
-        self.spans = _WHOLE if blocks is None else _row_spans(blocks)
-        self.hidden_spans = [_product_spans(W.shape[-1], blocks, self.spans)
-                             for W in params.weights[:-1]]
-        self.out_spans = _product_spans(None, blocks, self.spans)
-
-    @staticmethod
-    @functools.lru_cache(maxsize=None)
-    def fresh(num_hidden: int) -> "ForwardBuffers":
-        """No arrays, for a pass without blocks: each product makes its own
-        (numpy's ``out=None``)."""
-        buf = object.__new__(ForwardBuffers)
-        buf.O = buf.Z = (None,) * num_hidden
-        buf.out = buf.skip_out = None
-        buf.spans = buf.out_spans = _WHOLE
-        buf.hidden_spans = (_WHOLE,) * num_hidden
-        return buf
-
-
-def _product(a: np.ndarray, B: np.ndarray, spans, out: np.ndarray | None):
-    """``a @ B`` written into ``out``, rows being axis -2: once over all
-    rows, or once per row span into that span's rows.  Two matrices go
-    through ``ndarray.dot``, which gives ``np.matmul``'s bits at less cost
-    per call (``np.dot``'s, without its dispatch); a stack goes through
+def _bind_product(a: np.ndarray, B: np.ndarray, spans, out: np.ndarray) -> list[tuple]:
+    """The calls that write ``a @ B`` into ``out``, rows being axis -2:
+    one over all rows, or one per row span into that span's rows, each as
+    (function, a's rows, B, out's rows).  Two matrices go through
+    ``ndarray.dot``, which gives ``np.matmul``'s bits at less cost per call
+    (``np.dot``'s, without its dispatch); a stack goes through
     ``np.matmul``.  Both write into a C-contiguous ``out``, as every
     buffer's row span is."""
     product = np.ndarray.dot if a.ndim == B.ndim == 2 else np.matmul
     if spans is _WHOLE:
-        return product(a, B, out=out)
-    for s in spans:
-        product(a[..., s, :], B, out=out[..., s, :])
-    return out
+        return [(product, a, B, out)]
+    return [(product, a[..., s, :], B, out[..., s, :]) for s in spans]
 
 
-def forward_cache(params: MvnnParams, X: np.ndarray, blocks: tuple[int, ...] | None = None,
-                  buffers: ForwardBuffers | None = None):
+def _run(products: list[tuple]) -> None:
+    """Make the calls of ``_bind_product``."""
+    for product, a, B, out in products:
+        product(a, B, out=out)
+
+
+class ForwardBuffers:
+    """The forward pass of a network, or stack, on one input ``X`` in row
+    blocks of the sizes ``blocks`` (if given), bound when made: every array
+    it writes and every operand and view its numpy calls take.  The arrays
+    are each hidden layer's pre-activations ``O`` and outputs (in ``Z``,
+    after ``X``), the output and the skip product, as (..., rows, d)
+    arrays, ``result`` the outputs' view; ``spans`` holds the blocks' row
+    slices, ``out_spans`` those of the output product.  ``forward_cache``
+    runs the calls on ``X`` and the network's arrays as they then are, so
+    both must be written in place.  Training binds one per fit, after
+    ``Adam`` has moved the network into its flat vector; ``empty`` may
+    take the arrays from a caller's own storage."""
+
+    __slots__ = ("X", "O", "Z", "out", "skip_out", "spans", "out_spans", "result", "_hidden",
+                 "_output", "_skip")
+
+    def __init__(self, params: MvnnParams, X: np.ndarray,
+                 blocks: tuple[int, ...] | None = None, empty=np.empty):
+        weights, skip = params.weights, params.skip
+        stack = weights[0].ndim > 2
+        lead, rows = weights[0].shape[:-2] or X.shape[:-2], X.shape[-2]
+        self.X = X
+        self.spans = spans = _WHOLE if blocks is None else _row_spans(blocks)
+        self.O, self.Z, self._hidden = O, Z, hidden = [], [X], []
+        for W, b, t in zip(weights, params.biases, params.cutoffs):  # the hidden layers
+            shape = (*lead, rows, W.shape[-2])
+            o, z = empty(shape), empty(shape)
+            products = _bind_product(Z[-1], W.swapaxes(-1, -2),
+                                     _product_spans(W.shape[-1], blocks, spans), o)
+            # its products, O, the bias and the cutoffs broadcast over the
+            # rows (a stack's net by net), and Z
+            hidden.append((products, o, b[..., None, :] if stack else b, z,
+                           t[..., None, :] if stack else t))
+            O.append(o)
+            Z.append(z)
+        self.out = out = empty((*lead, rows, 1))
+        self.out_spans = _product_spans(None, blocks, spans)
+        self._output = _bind_product(Z[-1], weights[-1].swapaxes(-1, -2), self.out_spans, out)
+        if skip is None:
+            self.skip_out, self._skip = None, ()
+        else:
+            self.skip_out = empty(out.shape)
+            self._skip = _bind_product(X, skip[..., None], self.out_spans, self.skip_out)
+        self.result = out[..., 0]
+
+
+def forward_cache(params: MvnnParams, X: np.ndarray, buffers: ForwardBuffers | None = None):
     """The network's forward pass on a batch (B, m), or a stack's on
     (n, B, m): its outputs (B,) or (n, B), the hidden pre-activations O and
     the layer inputs Z (X first), as kept for backprop.  Unlike
     ``MvnnParams.forward`` it does not check the cutoffs.
 
-    Every array is written in place, into ``buffers`` when given (made for
-    X's shape and row blocks, which then stand for ``blocks``) and into
-    fresh ones otherwise; the outputs are views of them.  So an epoch of
-    training, which passes its fit's buffers, allocates nothing here.
+    It runs the calls of ``buffers``, bound to ``params`` and this very X,
+    or of fresh ones without row blocks.  The outputs are views of their
+    arrays, so an epoch of training, which runs its fit's buffers,
+    allocates nothing here.
 
-    ``blocks``, used by training only, splits the batch into consecutive
-    row blocks of these sizes.  The result equals one call per block, bit
-    for bit, by two row rules of OpenBLAS:
+    Buffers made with ``blocks``, as training's are, split the batch into
+    consecutive row blocks of these sizes.  The result equals one call per
+    block, bit for bit, by two row rules of OpenBLAS:
 
-    - a gemm row has the same bits wherever it sits in the batch, so a
-      hidden layer's product runs once over all rows;
-    - a gemv row does not: its bits depend on its position modulo the
-      kernel's row unroll.  So the one-column output and skip products run
-      once per block, unless the blocks are of one size that keeps every
-      row's position modulo ``_GEMV_ROW_UNROLL``; then they run once over
-      all rows.  A one-row block makes its hidden products gemv too, and a
-      fan-in of 32 or more can take the small-matrix kernel, so such
-      products also run per block.
+    - a gemm row has the same bits wherever it sits in the batch, unless
+      it falls in the one-row tail of a product over an odd row count,
+      which OpenBLAS's AVX2 kernels sum in another order.  So a hidden
+      layer's product runs once over all rows only when every block has
+      an even row count: then no row falls in that tail, in its block's
+      own call or in the whole.  Otherwise it runs per block.  A fan-in
+      of 32 or more can take the AVX-512 small-matrix kernel, so such
+      products run per block too;
+    - a gemv row's bits depend on its position modulo the kernel's row
+      unroll.  So the one-column output and skip products run once per
+      block, unless the blocks are of one size that keeps every row's
+      position modulo ``_GEMV_ROW_UNROLL``; then they run once over all
+      rows.
 
     Each block's product is written into its rows of the layer's buffer,
     which gives the bits of a product on those rows alone.  The rules hold
@@ -285,21 +312,19 @@ def forward_cache(params: MvnnParams, X: np.ndarray, blocks: tuple[int, ...] | N
     widest product stays below that.
     """
     if buffers is None:
-        buffers = (ForwardBuffers.fresh(params.num_hidden) if blocks is None
-                   else ForwardBuffers(params, X.shape, blocks))
-    O, Z = [], [X]
-    for W, b, t, o, z, spans in zip(params.weights, params.biases, params.cutoffs,
-                                    buffers.O, buffers.Z, buffers.hidden_spans):  # the hidden layers
-        o = _product(Z[-1], W.swapaxes(-1, -2), spans, o)
-        o += b[..., None, :]  # broadcast over the rows
-        z = np.maximum(o, 0.0, out=z)
-        np.minimum(z, t[..., None, :], out=z)
-        O.append(o)
-        Z.append(z)
-    out = _product(Z[-1], params.weights[-1].swapaxes(-1, -2), buffers.out_spans, buffers.out)
-    if params.skip is not None:
-        out += _product(X, params.skip[..., None], buffers.out_spans, buffers.skip_out)
-    return out[..., 0], O, Z
+        buffers = ForwardBuffers(params, X)
+    elif buffers.X is not X:
+        raise InvalidInputError("these forward buffers are bound to another input")
+    for products, o, b, z, t in buffers._hidden:  # the hidden layers
+        _run(products)
+        o += b
+        np.maximum(o, _ZERO, out=z)
+        np.minimum(z, t, out=z)
+    _run(buffers._output)
+    if buffers._skip:
+        _run(buffers._skip)
+        buffers.out += buffers.skip_out
+    return buffers.result, buffers.O, buffers.Z
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,11 @@ from .mvnn import (
     CUTOFF_FLOOR,
     ForwardBuffers,
     MvnnParams,
-    _product,
+    _ZERO,
+    _bind_product,
+    _operand,
     _product_spans,
+    _run,
     forward_cache,
     init_params,
 )
@@ -51,6 +54,10 @@ class TrainHyper:
             raise InvalidInputError("learning rate and epochs must be positive and finite")
         if not (self.smooth_l1_beta >= 0 and self.l2_lambda >= 0 and self.clip_grad_norm >= 0):
             raise InvalidInputError("beta, lambda and the clip norm must be non-negative")
+        r2 = self.retrain_r2_threshold
+        if (isinstance(r2, bool) or not isinstance(r2, numbers.Real)
+                or not -math.inf <= r2 <= math.inf):
+            raise InvalidInputError(f"retrain_r2_threshold must be a number, got {r2!r}")
         try:
             lo, hi = self.cutoff_init_range
             ok = 0 <= lo <= hi < math.inf
@@ -82,28 +89,35 @@ def _huber(r, beta: float):
     return np.where(r <= beta, 0.5 / beta * r * r, r - 0.5 * beta)
 
 
-def _huber_slope(r, beta: float, out=None):
+_ONE, _MINUS_ONE = _operand(1.0), _operand(-1.0)
+
+
+def _huber_slope(r, beta, out=None):
     """d/dx ``smooth_l1(x, y)`` at the residual r = x - y: r / beta clipped
     to [-1, 1], bit for bit the piecewise form, as |r| > beta gives
-    |r| / beta >= 1.  Written into ``out`` (which may be ``r``) if given."""
-    if beta == 0:
+    |r| / beta >= 1.  Written into ``out`` (which may be ``r``) if given;
+    beta may be an ``_operand``."""
+    if not beta:
         return np.sign(r, out=out)
     s = np.divide(r, beta, out=out)
-    return np.minimum(np.maximum(s, -1.0, out=out), 1.0, out=out)
+    return np.minimum(np.maximum(s, _MINUS_ONE, out=out), _ONE, out=out)
 
 
 # ---------------------------------------------------------------------------
 # Backward machinery
 #
-# A fit makes its arrays once, when ``_train_loop`` starts: a ``_Workspace``
-# for the forward pass, the loss's output slopes and the backward, Adam's
-# moments as one (2, P) matrix, and the (epochs + 1, P) matrix of epoch
-# parameters.  An epoch then allocates nothing: every op writes through
+# A fit binds its epoch once, when ``_train_loop`` starts, after ``Adam``
+# has moved the network into its flat vector: the ``_Workspace`` holds the
+# input buffer, the forward pass (``ForwardBuffers``), the loss's slope
+# call and the backward, and ``Adam`` its moments, slices and bias
+# corrections.  An epoch is then one fixed run of numpy calls on those
+# arrays: it allocates nothing and takes no view.  Every op writes through
 # ``out=``, in the operation order of the expression it replaces, so every
 # result keeps its bits.  Five rules keep them:
 #
 # - products run once per row block, or once over all rows, as
-#   ``forward_cache`` says;
+#   ``forward_cache`` says: a gemm over all rows only when every block has
+#   an even row count;
 # - the clip norm sums each array pairwise, along a contiguous last axis
 #   (``np.add.reduceat`` sums in sequence, which differs);
 # - each column sum over a block's rows is one reduce per array: one over
@@ -209,85 +223,95 @@ class Grads:
 
 
 class _Workspace:
-    """Every array one fit's epochs write, made once when ``_train_loop``
-    starts, for batches split into row blocks of the sizes ``blocks`` (see
-    ``forward_cache``): the forward pass's buffers, the output gradient,
-    the loss's output slopes (up to three terms per block) and their masks,
-    and the backward's deltas, masks and per-block gradients.  So an epoch
-    allocates nothing.  ``grads`` holds the gradients an epoch leaves.
+    """One fit's epoch, bound once for ``params`` and batches in row blocks
+    of the sizes ``blocks`` (see ``forward_cache``): every array it writes
+    and every view its numpy calls take.  These are the input ``X`` each
+    batch is copied into, the forward pass on it (``forward``, outputs
+    ``out``), the output gradient, the slope call ``loss(out, out_grad)``
+    returns, and the backward's arrays; ``grads`` (made unless given) is
+    the first block's gradients and their sum.  The backward's views:
 
-    The views the backward's ops take are made here too, once:
+    - ``output_blocks``, per row block: its rows of the output gradient,
+      of the last layer's input and of the input, and its output-weight
+      and skip gradients;
+    - ``layers``, per hidden layer: the delta at its output, its
+      pre-activations and cutoffs, its masks (above the cutoff, inside,
+      below the cutoff), the saturated and the inner part of its delta,
+      per row block the views of those parts (the inner one transposed
+      too) and of the layer's input, with the block's cutoff, bias and
+      weight gradients, and the calls of the product that carries the
+      inner part to the delta below (none for the first layer)."""
 
-    - ``output_blocks``, per row block: its rows, its rows of the output
-      gradient and of the last hidden layer's output (None for the input,
-      which each call passes), and its output-weight and skip gradients;
-    - ``layers``, per hidden layer: the delta at its output, its masks
-      (above the cutoff, inside, below the cutoff), the saturated and the
-      inner part of its delta, per row block the views of those parts (the
-      inner one transposed too) and of the layer's input (None for the
-      input), with the block's cutoff, bias and weight gradients, and the
-      row spans of the product that carries the inner part to the delta
-      below (which runs as the forward's hidden products do)."""
-
-    def __init__(self, params: MvnnParams, blocks: tuple[int, ...]):
+    def __init__(self, params: MvnnParams, blocks: tuple[int, ...], loss, grads=None):
         rows = sum(blocks)
-        fwd = self.forward = ForwardBuffers(params, (rows, params.m), blocks)
+        self.params = params
+        self.X = np.empty((rows, params.m))
+        fwd = self.forward = ForwardBuffers(params, self.X, blocks)
+        self.out = fwd.result
         self.out_grad = np.empty(rows)
-        self.out_grad_column = self.out_grad[:, None]
-        self.slopes = [np.empty((3, size)) for size in blocks]
-        self.flags = [np.empty((3, size), dtype=bool) for size in blocks]
+        self.slopes = loss(self.out, self.out_grad)
         layout = _layout_of(params)
-        # one gradient per row block, the first one also their sum
-        self.block_grads = [Grads(layout, flat) for flat in np.zeros((len(blocks), layout.size))]
-        self.grads = self.block_grads[0]
-        parts = list(zip(fwd.spans, self.block_grads))
-        z_last = fwd.Z[-1] if fwd.Z else None
-        self.output_blocks = [(s, self.out_grad[s], None if z_last is None else z_last[s],
-                               d.weights[-1][0], d.skip) for s, d in parts]
+        # one gradient per row block, (weights, skip, biases, cutoffs), the
+        # first one also their sum
+        self.grads = g = Grads(layout) if grads is None else grads
+        self._later_flats = list(np.zeros((len(blocks) - 1, layout.size)))
+        parts = list(zip(fwd.spans, [(g.weights, g.skip, g.biases, g.cutoffs),
+                                     *map(layout.views, self._later_flats)]))
+        self.output_blocks = [(self.out_grad[s], fwd.Z[-1][s], self.X[s], w[-1][0], skip)
+                              for s, (w, skip, _, _) in parts]
+        self._out_grad_column, self._w_out = self.out_grad[:, None], params.weights[-1]
         self.layers = []
         for k, W in enumerate(params.weights[:-1]):
             delta, saturated, inner = np.empty((3, rows, W.shape[0]))
-            z_in = fwd.Z[k - 1] if k else None
+            spans = _product_spans(W.shape[0], blocks, fwd.spans)
             self.layers.append((
-                delta, tuple(np.empty((3, rows, W.shape[0]), dtype=bool)), saturated, inner,
-                [(s, saturated[s], inner[s], inner[s].T, None if z_in is None else z_in[s],
-                  d.cutoffs[k], d.biases[k], d.weights[k]) for s, d in parts],
-                _product_spans(W.shape[0], blocks, fwd.spans)))
+                delta, fwd.O[k], params.cutoffs[k],
+                tuple(np.empty((3, rows, W.shape[0]), dtype=bool)), saturated, inner,
+                [(saturated[s], inner[s], inner[s].T, fwd.Z[k][s], c[k], b[k], w[k])
+                 for s, (w, _, b, c) in parts],
+                _bind_product(inner, W, spans, self.layers[-1][0]) if k else []))
 
+    def data_grads(self, x: np.ndarray, *targets) -> None:
+        """Write into ``grads`` the data-loss gradients of the batch ``x``
+        and the loss's ``targets``: copy, forward, slopes, backward."""
+        np.copyto(self.X, x)
+        forward_cache(self.params, self.X, buffers=self.forward)
+        self.slopes(*targets)
+        self.backward()
 
-def _backward(ws: _Workspace, params: MvnnParams, X) -> None:
-    """Write into ``ws.grads`` the parameter gradients of
-    sum_b out_grad[b] * net(X[b]), for ``ws.out_grad`` and the forward pass
-    on X held in ``ws.forward``.
+    def backward(self) -> None:
+        """Write into ``grads`` the parameter gradients of
+        sum_b out_grad[b] * net(X[b]), for ``out_grad`` and the forward pass
+        held in ``forward``.
 
-    Every row sum and product runs once per row block of ``ws`` (see
-    ``forward_cache``), into that block's gradients, and ``ws.grads`` is
-    the first block's with each later block's added in order: bit for bit
-    the sum of one call per block.  The elementwise work runs once over all
-    rows.  Every op writes through ``out=``, into ``ws``; the products go
-    through ``ndarray.dot``, as ``mvnn._product``'s do."""
-    for s, out_grad, z, w_grad, skip_grad in ws.output_blocks:
-        out_grad.dot(X[s] if z is None else z, out=w_grad)
-        if skip_grad is not None:
-            out_grad.dot(X[s], out=skip_grad)
-    if ws.layers:
-        np.multiply(ws.out_grad_column, params.weights[-1], out=ws.layers[-1][0])
-    for k in range(len(ws.layers) - 1, -1, -1):
-        delta, (above, inside, below_t), saturated, inner, blocks, spans = ws.layers[k]
-        o, t = ws.forward.O[k], params.cutoffs[k]
-        # z = t on the saturated region; subgradient 0 at the kinks themselves
-        np.multiply(delta, np.greater(o, t, out=above), out=saturated)
-        np.greater(o, 0.0, out=inside)
-        inside &= np.less(o, t, out=below_t)
-        np.multiply(delta, inside, out=inner)
-        for s, sat_rows, inner_rows, inner_rows_t, z, c_grad, b_grad, w_grad in blocks:
-            np.add.reduce(sat_rows, axis=0, out=c_grad)
-            np.add.reduce(inner_rows, axis=0, out=b_grad)
-            inner_rows_t.dot(X[s] if z is None else z, out=w_grad)
-        if k:  # the input's own gradient is not needed
-            _product(inner, params.weights[k], spans, ws.layers[k - 1][0])
-    for d in ws.block_grads[1:]:
-        ws.grads.flat += d.flat
+        Every row sum and product runs once per row block (see
+        ``forward_cache``), into that block's gradients, and ``grads`` is
+        the first block's with each later block's added in order: bit for
+        bit the sum of one call per block.  The elementwise work runs once
+        over all rows.  Every op writes through ``out=``, into the
+        workspace; the products go through ``ndarray.dot``, as
+        ``mvnn._bind_product``'s do."""
+        for out_grad, z, x, w_grad, skip_grad in self.output_blocks:
+            out_grad.dot(z, out=w_grad)
+            if skip_grad is not None:
+                out_grad.dot(x, out=skip_grad)
+        if self.layers:
+            np.multiply(self._out_grad_column, self._w_out, out=self.layers[-1][0])
+        for delta, o, t, (above, inside, below_t), saturated, inner, blocks, down in reversed(
+                self.layers):
+            # z = t on the saturated region; subgradient 0 at the kinks themselves
+            np.multiply(delta, np.greater(o, t, out=above), out=saturated)
+            np.greater(o, _ZERO, out=inside)
+            inside &= np.less(o, t, out=below_t)
+            np.multiply(delta, inside, out=inner)
+            for sat_rows, inner_rows, inner_rows_t, z, c_grad, b_grad, w_grad in blocks:
+                np.add.reduce(sat_rows, axis=0, out=c_grad)
+                np.add.reduce(inner_rows, axis=0, out=b_grad)
+                inner_rows_t.dot(z, out=w_grad)
+            _run(down)  # the input's own gradient is not needed
+        total = self.grads.flat
+        for flat in self._later_flats:
+            total += flat
 
 
 def _regularised(params: MvnnParams) -> np.ndarray:
@@ -296,12 +320,13 @@ def _regularised(params: MvnnParams) -> np.ndarray:
                            + params.biases])
 
 
-def _add_l2(g: Grads, theta: np.ndarray, lam: float, scratch: np.ndarray | None = None) -> None:
+def _add_l2(g: np.ndarray, theta: np.ndarray, lam: float, scratch=None) -> None:
     """Add 2 * lam * theta, the gradient of the penalty lam * ||theta||^2,
-    to the same prefix of ``g.flat``, for ``theta`` as ``_regularised``;
-    ``scratch``, of theta's size, takes the product if given."""
+    to ``g``, the same prefix of a gradient vector, for ``theta`` as
+    ``_regularised``; ``scratch``, of theta's size, takes the product if
+    given."""
     if lam != 0:
-        g.flat[: theta.size] += np.multiply(theta, 2 * lam, out=scratch)
+        g += np.multiply(theta, 2 * lam, out=scratch)
 
 
 class Adam:
@@ -312,62 +337,69 @@ class Adam:
     ``layout`` order and rebound as views of it, so each update is one
     operation on that vector.  The moments m and v are the two rows of one
     (2, P) matrix, stepped together.  ``step`` takes the gradients of the
-    data loss alone and adds the L2 gradient itself, before clipping.
+    data loss alone, in ``grads``, and adds the L2 gradient itself, before
+    clipping; every slice it takes is made here.
     """
 
     def __init__(self, params: MvnnParams, hyper: TrainHyper):
         self.params = params
-        self.hyper = hyper
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
         self.layout = layout = _layout_of(params)
         self.theta = np.concatenate([_regularised(params), *params.cutoffs])
         params.weights, params.skip, params.biases, params.cutoffs = layout.views(self.theta)
+        self.grads = Grads(layout)
+        self._clip = hyper.clip_grad_norm
+        self._lr, self._eps, self._floor = map(_operand, (hyper.learning_rate, self.eps,
+                                                         CUTOFF_FLOOR))
         # frozen cutoffs are the vector's tail: only the prefix is stepped
-        self._n_step = n = layout.size if hyper.trainable_cutoffs else layout.n_reg
+        n = layout.size if hyper.trainable_cutoffs else layout.n_reg
         # the moments, a scratch row for each, and each row's factors
         self._moments, self._scratch = np.zeros((2, n)), np.empty((2, n))
+        self._rows = tuple(self._scratch)
         self._decay = np.array([[self.beta1], [self.beta2]])
         self._gain = np.array([[1 - self.beta1], [1 - self.beta2]])
-        self._correction = np.empty((2, 1))
-        self._stepped, self._regularised = self.theta[:n], self.theta[: layout.n_reg]
+        # step t's (2, 1) corrections [1 - beta1**t, 1 - beta2**t], by that expression
+        self._corrections = list(np.array([1 - beta**t for t in range(hyper.epochs + 1)
+                                           for beta in (self.beta1, self.beta2)]).reshape(-1, 2, 1))
+        self._g, self._stepped = self.grads.flat[:n], self.theta[:n]
+        self._l2 = (self.grads.flat[: layout.n_reg], self.theta[: layout.n_reg], hyper.l2_lambda,
+                    self._scratch[0, : layout.n_reg])
         self._pos = self.theta[: layout.n_pos]
         self._neg = self.theta[layout.n_pos: layout.n_reg]
         self._cutoffs = self.theta[layout.n_reg:]
         # frozen cutoffs at or above the floor stay there: projecting is a no-op
         self._floor_cutoffs = hyper.trainable_cutoffs or not (self._cutoffs >= CUTOFF_FLOOR).all()
 
-    def step(self, grads: Grads) -> None:
-        h = self.hyper
-        a, b = self._scratch
-        _add_l2(grads, self._regularised, h.l2_lambda, a[: self.layout.n_reg])
-        norm = grads.global_norm()
-        if h.clip_grad_norm and norm > h.clip_grad_norm:
-            grads.flat *= h.clip_grad_norm / (norm + 1e-12)
+    def step(self) -> None:
+        """One step on ``grads``, of at most ``hyper.epochs``."""
+        a, b = self._rows
+        _add_l2(*self._l2)
+        norm = self.grads.global_norm()
+        if self._clip and norm > self._clip:
+            self.grads.flat *= self._clip / (norm + 1e-12)
         self.t += 1
-        self._correction[0, 0] = 1 - self.beta1**self.t
-        self._correction[1, 0] = 1 - self.beta2**self.t
         # in place, in the operation order of
         #   m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
         #   theta -= lr (m / b1c) / (sqrt(v / b2c) + eps)
-        g = grads.flat[: self._n_step]
+        g = self._g
         self._moments *= self._decay
         np.multiply(g, self._gain, out=self._scratch)
         b *= g
         self._moments += self._scratch
-        np.divide(self._moments, self._correction, out=self._scratch)
-        a *= h.learning_rate
+        np.divide(self._moments, self._corrections[self.t], out=self._scratch)
+        a *= self._lr
         np.sqrt(b, out=b)
-        b += self.eps
+        b += self._eps
         a /= b
         self._stepped -= a
         self.project()
 
     def project(self) -> None:
-        np.maximum(self._pos, 0.0, out=self._pos)
-        np.minimum(self._neg, 0.0, out=self._neg)
+        np.maximum(self._pos, _ZERO, out=self._pos)
+        np.minimum(self._neg, _ZERO, out=self._neg)
         if self._floor_cutoffs:
-            np.maximum(self._cutoffs, CUTOFF_FLOOR, out=self._cutoffs)
+            np.maximum(self._cutoffs, self._floor, out=self._cutoffs)
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +407,17 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 
-def _mean_data_grads(ws: _Workspace, params: MvnnParams, X, y, hyper: TrainHyper):
-    """Write into ``ws.grads`` the gradients of the smooth-L1 batch mean;
-    return the network's outputs (a view into ``ws``)."""
-    out = forward_cache(params, X, buffers=ws.forward)[0]
-    out_grad = np.subtract(out, y, out=ws.out_grad)
-    _huber_slope(out_grad, hyper.smooth_l1_beta, out=out_grad)
-    out_grad /= X.shape[0]
-    _backward(ws, params, X)
-    return out
+def _mean_slopes(out: np.ndarray, out_grad: np.ndarray, beta: float):
+    """The smooth-L1 batch mean's output slopes, bound to the outputs
+    ``out`` and written into ``out_grad``: the call on an epoch's y."""
+    n, beta = _operand(len(out_grad)), _operand(beta)
+
+    def slopes(y):
+        np.subtract(out, y, out=out_grad)
+        _huber_slope(out_grad, beta, out=out_grad)
+        np.divide(out_grad, n, out=out_grad)
+
+    return slopes
 
 
 def r_squared(pred: np.ndarray, y: np.ndarray) -> float:
@@ -416,16 +450,20 @@ def _epoch_draws(rng: np.random.Generator, epochs: int, n: int, arts=None) -> np
 
 
 def _train_loop(params: MvnnParams, hyper: TrainHyper, blocks: tuple[int, ...], batches,
-                batch_grads) -> np.ndarray:
+                loss) -> np.ndarray:
     """One full-batch Adam step per item of ``batches``, one item per epoch;
     returns every epoch's flat parameters (``_Layout`` order) as an
     (epochs + 1, P) matrix whose row 0 is the start.  It only optimises:
     the caller scores the rows and keeps the best with ``_best_epoch``,
     and ``_net`` views the matrix as a stack of the epochs' networks.
-    ``batch_grads(ws, params, *batch)`` writes into ``ws.grads`` the
-    data-loss gradients of that epoch's batch, whose rows form blocks of
-    the sizes ``blocks``; ``ws`` is the fit's one ``_Workspace``, and
-    ``Adam.step`` adds the L2 term.
+
+    Each batch is (x, *targets): x's rows form blocks of the sizes
+    ``blocks``, and ``loss(out, out_grad)``, called once per fit, binds the
+    loss's output slopes to the network's outputs and the output gradient
+    and returns the call that takes an epoch's targets.  The fit's
+    ``_Workspace`` and ``Adam`` bind everything else once, so an epoch
+    copies x into the workspace's input and runs the bound calls: forward,
+    slopes, backward, and the step, which adds the L2 term.
 
     Draw order: the loop draws nothing.  Each batch carries its epoch's
     draws from ``_epoch_draws``, made before the loop: the reports in a
@@ -434,14 +472,14 @@ def _train_loop(params: MvnnParams, hyper: TrainHyper, blocks: tuple[int, ...], 
     the artificial points.  A generator gives the same numbers whether they
     are drawn up front or epoch by epoch, so the fit is the same as well.
     """
-    ws = _Workspace(params, blocks)
-    opt = Adam(params, hyper)
+    opt = Adam(params, hyper)  # rebinds the network's arrays: bind after it
+    ws = _Workspace(params, blocks, loss, opt.grads)
     thetas = np.empty((hyper.epochs + 1, opt.layout.size))
     thetas[0] = opt.theta
-    for e, batch in enumerate(batches, 1):
-        batch_grads(ws, params, *batch)
-        opt.step(ws.grads)
-        thetas[e] = opt.theta
+    for theta, batch in zip(thetas[1:], batches):
+        ws.data_grads(*batch)
+        opt.step()
+        np.copyto(theta, opt.theta)
     return thetas
 
 
@@ -509,8 +547,8 @@ def train_mean(
             layer_dims, init_hyper, train_hyper.cutoff_init_range, rng, skip=skip
         )
         perms = _epoch_draws(rng, train_hyper.epochs, len(y))
-        batch_grads = functools.partial(_mean_data_grads, hyper=train_hyper)
-        thetas = _train_loop(params, train_hyper, (len(y),), zip(X[perms], y[perms]), batch_grads)
+        loss = functools.partial(_mean_slopes, beta=train_hyper.smooth_l1_beta)
+        thetas = _train_loop(params, train_hyper, (len(y),), zip(X[perms], y[perms]), loss)
         layout = _layout_of(params)
         maes = _sum(np.abs(forward_cache(_net(layout, thetas), X)[0] - y)) / len(y)
         e = _best_epoch(maes)

@@ -22,10 +22,9 @@ import numpy as np
 
 from .domain import report_arrays
 from .errors import InvalidInputError
-from .mvnn import ForwardBuffers, MvnnParams, forward_cache, init_params
+from .mvnn import _ZERO, ForwardBuffers, MvnnParams, _operand, forward_cache, init_params
 from .training import (
     TrainHyper,
-    _backward,
     _best_epoch,
     _epoch_draws,
     _huber,
@@ -56,7 +55,7 @@ def g_gate(x):
 def g_gate_grad(x, out):
     """The gate's slope at x, written into ``out`` (which may be x); exp(0)
     is exactly 1, the slope for x >= 0."""
-    return np.exp(np.minimum(x, 0.0, out=out), out=out)
+    return np.exp(np.minimum(x, _ZERO, out=out), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -161,101 +160,93 @@ def _loss_values(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta
     }
 
 
-def _loss_slopes(out_tr, out_art, y, mean_art, exact_art, hyper: NomuHyper, beta: float,
-                 slopes=None, flags=None) -> dict:
-    """Each loss term's (d/d out_tr, d/d out_art), in summation order, with
-    None where the term does not depend on that output.  The slopes are
-    views of ``slopes``, a (3, n) and a (3, n_art) array, and their masks
-    go to ``flags``, two bool arrays of those shapes; all are made if not
-    given.  The rows hold [data, stability, -] over the reports and
-    [push_up, below_exact, above_mean] over the points, each part's terms
-    in summation order.  Every op writes in place, in the operation order
-    of the terms' formulas; the two hinge terms run as one (2, n_art)
-    pass."""
-    n, n_art = len(out_tr), len(out_art)
-    if slopes is None:
-        slopes = np.empty((3, n)), np.empty((3, n_art))
-        flags = np.empty((3, n), dtype=bool), np.empty((3, n_art), dtype=bool)
-    (tr, art), (tr_flags, art_flags) = slopes, flags
+def _loss_slopes(out, out_grad, n: int, hyper: NomuHyper, beta: float, rows=None):
+    """The output slopes of the loss without L2, bound to the learned
+    bound's outputs ``out`` on the n reports followed by the artificial
+    points and written into ``out_grad``: returns the call that takes an
+    epoch's y, mean_art and exact_art.  Each term's slope goes first to
+    its row of ``rows``, a (2, n) and a (3, n_art) array (made unless
+    given): [data, stability], d/d out_tr, and [push_up, below_exact,
+    above_mean], d/d out_art, each part's terms in summation order.  Every
+    op writes in place, in the operation order of the terms' formulas; the
+    two hinge terms run as one (2, n_art) pass."""
+    out_tr, out_art, tr_grad, art_grad = out[:n], out[n:], out_grad[:n], out_grad[n:]
+    n_art = len(out_art)
+    tr, art = rows or (np.empty((2, n)), np.empty((3, n_art)))
+    (data, stability), (push_up, below_exact, above_mean), hinges = tr, art, art[1:]
+    tr_flag, art_flags = np.empty(n, dtype=bool), np.empty((3, n_art), dtype=bool)
+    below_flag, hinge_flags = art_flags[0], art_flags[1:]
+    # every number an op takes, as an operand; the hinges' factors as written
+    (mu_sqr, mu_exp, c_exp, neg_c_exp, n_art, beta, half, thousandth, hundredth,
+     below_exact_factor, above_mean_factor) = map(_operand, (
+        hyper.mu_sqr, hyper.mu_exp, hyper.c_exp, -hyper.c_exp, n_art, beta, 0.5, 0.001, 0.01,
+        *(sign * (hyper.mu_exp * hyper.c_exp * pi) / n_art
+          for pi, sign in ((hyper.pi_uub, 1.0), (hyper.pi_mean, -1.0)))))
 
-    data, stability = tr[0], tr[1]
-    _huber_slope(np.subtract(out_tr, y, out=stability), beta, out=stability)
-    np.multiply(stability, hyper.mu_sqr, out=data)
-    # where r > 0 the slope at max(r, 0) is the data slope; elsewhere the mask zeroes it
-    np.maximum(stability, 0.0, out=stability)
-    stability *= 0.5
-    stability += 0.001
-    stability *= hyper.mu_sqr
-    stability *= np.greater(out_tr, y, out=tr_flags[0])
+    def slopes(y, mean_art, exact_art):
+        # each ufunc writes in place, as its augmented assignment would
+        _huber_slope(np.subtract(out_tr, y, out=stability), beta, out=stability)
+        np.multiply(stability, mu_sqr, out=data)
+        # where r > 0 the slope at max(r, 0) is the data slope; elsewhere the mask zeroes it
+        np.maximum(stability, _ZERO, out=stability)
+        np.multiply(stability, half, out=stability)
+        np.add(stability, thousandth, out=stability)
+        np.multiply(stability, mu_sqr, out=stability)
+        np.multiply(stability, np.greater(out_tr, y, out=tr_flag), out=stability)
 
-    push_up, hinges = art[0], art[1:]
-    np.minimum(out_art, exact_art, out=push_up)
-    push_up -= mean_art
-    push_up *= hyper.c_exp
-    g_gate_grad(np.subtract(0.01, push_up, out=push_up), out=push_up)
-    push_up *= hyper.mu_exp
-    push_up /= n_art
-    push_up *= -hyper.c_exp
-    # the soft penalties on the positive part of the excess over the exact
-    # bound (d excess/d out_art = 1) and of the shortfall below the mean (-1)
-    np.subtract(out_art, exact_art, out=hinges[0])
-    np.subtract(mean_art, out_art, out=hinges[1])
-    np.less(out_art, exact_art, out=art_flags[0])
-    np.greater(hinges, 0.0, out=art_flags[1:])
-    _huber_slope(np.maximum(hinges, 0.0, out=hinges), beta, out=hinges)
-    for row, pi, sign in ((hinges[0], hyper.pi_uub, 1.0), (hinges[1], hyper.pi_mean, -1.0)):
-        row *= sign * (hyper.mu_exp * hyper.c_exp * pi) / n_art
-    art *= art_flags  # each point term's last factor: its mask
-    return {"data": (data, None), "push_up": (None, push_up), "below_exact": (None, hinges[0]),
-            "above_mean": (None, hinges[1]), "stability": (stability, None)}
+        np.minimum(out_art, exact_art, out=push_up)
+        np.subtract(push_up, mean_art, out=push_up)
+        np.multiply(push_up, c_exp, out=push_up)
+        g_gate_grad(np.subtract(hundredth, push_up, out=push_up), out=push_up)
+        np.multiply(push_up, mu_exp, out=push_up)
+        np.divide(push_up, n_art, out=push_up)
+        np.multiply(push_up, neg_c_exp, out=push_up)
+        # the soft penalties on the positive part of the excess over the exact
+        # bound (d excess/d out_art = 1) and of the shortfall below the mean (-1)
+        np.subtract(out_art, exact_art, out=below_exact)
+        np.subtract(mean_art, out_art, out=above_mean)
+        np.less(out_art, exact_art, out=below_flag)
+        np.greater(hinges, _ZERO, out=hinge_flags)
+        _huber_slope(np.maximum(hinges, _ZERO, out=hinges), beta, out=hinges)
+        np.multiply(below_exact, below_exact_factor, out=below_exact)
+        np.multiply(above_mean, above_mean_factor, out=above_mean)
+        np.multiply(art, art_flags, out=art)  # each point term's last factor: its mask
+        # each part starts from +0.0 and takes its rows one by one (a reduce
+        # over three rows or fewer runs in row order)
+        np.add.reduce(tr, axis=0, initial=0.0, out=tr_grad)
+        np.add.reduce(art, axis=0, initial=0.0, out=art_grad)
+
+    return slopes
 
 
 def nomu_loss_terms(uub_net: MvnnParams, mean_net: MvnnParams, exact_net: MvnnParams, X, y, X_art,
-                    hyper: NomuHyper, beta: float, buffers=None) -> dict[str, float]:
+                    hyper: NomuHyper, beta: float, empty=np.empty) -> dict[str, float]:
     """The individual loss terms; mean and exact networks are frozen.
 
     Keys: ``data`` (fit through the reports), ``push_up`` (raise the bound
     where it is still below the exact bound), ``below_exact`` and
     ``above_mean`` (soft sandwich penalties) and ``stability`` (asymmetric
     data penalty).  The net is evaluated in one forward pass over
-    [X; X_art], written into ``buffers`` if given (``ForwardBuffers`` for
-    those two blocks).  For a stack of E learned bounds
-    (``MvnnParams.stack``) each value is an (E,) array, bit for bit the
-    values of one call per net.
+    [X; X_art], into arrays from ``empty`` (see ``ForwardBuffers``).  For
+    a stack of E learned bounds (``MvnnParams.stack``) each value is an
+    (E,) array, bit for bit the values of one call per net.
     """
     n = X.shape[0]
     if n == 0:
         raise InvalidInputError("empty training batch")
-    out = forward_cache(uub_net, np.concatenate([X, X_art]), (n, X_art.shape[0]), buffers)[0]
+    XA = np.concatenate([X, X_art])
+    out = forward_cache(uub_net, XA, buffers=ForwardBuffers(uub_net, XA, (n, len(X_art)), empty))[0]
     return _loss_values(out[..., :n], out[..., n:], y, mean_net.forward(X_art),
                         exact_net.forward(X_art), hyper, beta)
 
 
 def nomu_loss(
-    uub_net, mean_net, exact_net, X, y, X_art, hyper: NomuHyper, beta: float, buffers=None
+    uub_net, mean_net, exact_net, X, y, X_art, hyper: NomuHyper, beta: float, empty=np.empty
 ) -> float | np.ndarray:
     """The terms' sum, added one by one in term order, without L2; per net
     for a stack."""
-    terms = nomu_loss_terms(uub_net, mean_net, exact_net, X, y, X_art, hyper, beta, buffers)
+    terms = nomu_loss_terms(uub_net, mean_net, exact_net, X, y, X_art, hyper, beta, empty)
     return functools.reduce(operator.add, terms.values())
-
-
-def _nomu_grads(ws, uub_net: MvnnParams, XA, y, mean_art, exact_art, hyper: NomuHyper,
-                beta: float) -> None:
-    """Write into ``ws.grads`` the gradients of the loss without L2 of
-    ``uub_net`` (a single net) on ``XA``, the len(y) reports followed by
-    the artificial points, from one forward pass; ``ws`` is the fit's
-    ``_Workspace``, made for those two row blocks."""
-    n = len(y)
-    out = forward_cache(uub_net, XA, buffers=ws.forward)[0]
-    tr, art = ws.slopes
-    _loss_slopes(out[:n], out[n:], y, mean_art, exact_art, hyper, beta, ws.slopes, ws.flags)
-    # the slopes' rows hold the terms in summation order; each part starts
-    # from +0.0 and takes its rows one by one (a reduce over three rows or
-    # fewer runs in row order)
-    np.add.reduce(tr[:2], axis=0, initial=0.0, out=ws.out_grad[:n])
-    np.add.reduce(art, axis=0, initial=0.0, out=ws.out_grad[n:])
-    _backward(ws, uub_net, XA)
 
 
 def _frozen_outputs(net: MvnnParams, arts: np.ndarray) -> np.ndarray:
@@ -269,7 +260,7 @@ def _frozen_outputs(net: MvnnParams, arts: np.ndarray) -> np.ndarray:
     for start in range(0, epochs, per_call):
         chunk = arts[start:start + per_call].reshape(-1, m)
         blocks = (n_art,) * (len(chunk) // n_art)
-        buffers = ForwardBuffers(net, chunk.shape, blocks, _kept.empties("frozen"))
+        buffers = ForwardBuffers(net, chunk, blocks, _kept.empties("frozen"))
         outs[start:start + per_call] = forward_cache(net, chunk, buffers=buffers)[0].reshape(-1, n_art)
     return outs
 
@@ -316,9 +307,9 @@ def train_uub(reports: list[tuple[np.ndarray, float]], mean_net: MvnnParams, exa
     XA[:, n:] = arts
     batches = zip(XA, y[perms], _frozen_outputs(mean_net, arts), _frozen_outputs(exact_net, arts))
 
-    batch_grads = functools.partial(_nomu_grads, hyper=nomu_hyper, beta=beta)
-    thetas = _train_loop(params, train_hyper, (n, n_art), batches, batch_grads)
+    loss = functools.partial(_loss_slopes, n=n, hyper=nomu_hyper, beta=beta)
+    thetas = _train_loop(params, train_hyper, (n, n_art), batches, loss)
     stack = _net(_layout_of(params), thetas)
-    scoring = ForwardBuffers(stack, (n + len(X_eval), m), (n, len(X_eval)), _kept.empties("scores"))
-    scores = nomu_loss(stack, mean_net, exact_net, X, y, X_eval, nomu_hyper, beta, scoring)
+    scores = nomu_loss(stack, mean_net, exact_net, X, y, X_eval, nomu_hyper, beta,
+                       _kept.empties("scores"))
     return _net(_layout_of(params), thetas[_best_epoch(scores)].copy())

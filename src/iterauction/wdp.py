@@ -697,7 +697,9 @@ def milp_wdp(nets: list[MvnnParams], exclusions=None, prune: bool = True) -> Wdp
     alloc = np.round(a).astype(np.int64)
     if (alloc.sum(axis=0) > 1).any():
         raise InvalidInputError("MILP solution assigns an item twice")
-    true_obj = float(sum(net.forward(alloc[i].astype(np.float64)) for i, net in enumerate(nets)))
+    # a left fold, which the builtin sum of floats is not from Python 3.12 on
+    true_obj = functools.reduce(
+        operator.add, [net.forward(alloc[i].astype(np.float64)) for i, net in enumerate(nets)], 0.0)
     return WdpSolution(alloc, true_obj, "optimal" if gap == 0 else "gap_limit", proven_gap=gap)
 
 

@@ -2,21 +2,26 @@
 the loss-with-gradient entry points they check: the library computes loss
 values and gradients in separate passes, and these put the two together."""
 
+import functools
+
 import numpy as np
 
-from iterauction.mvnn import forward_cache
 from iterauction.training import (
     _add_l2,
-    _backward,
-    _mean_data_grads,
+    _mean_slopes,
     _regularised,
     _Workspace,
     smooth_l1,
 )
-from iterauction.uub import _loss_slopes, _nomu_grads, nomu_loss_terms
+from iterauction.uub import _loss_slopes, nomu_loss_terms
 
 FD_EPS = 1e-6
 KINK_MARGIN = 1e-4
+
+# where ``uub._loss_slopes`` writes each term's slope: (part, row), part 0
+# the reports' rows and part 1 the artificial points'
+SLOPE_ROWS = {"data": (0, 0), "push_up": (1, 0), "below_exact": (1, 1), "above_mean": (1, 2),
+              "stability": (0, 1)}
 
 
 def param_arrays(p):
@@ -77,12 +82,13 @@ def _l2_penalty(theta, lam: float) -> float:
 
 def mean_loss_and_grads(params, X, y, hyper):
     """Smooth-L1 data loss (batch mean) plus L2 penalty, with gradients."""
-    ws = _Workspace(params, (X.shape[0],))
-    out = _mean_data_grads(ws, params, X, y, hyper)
+    beta = hyper.smooth_l1_beta
+    ws = _Workspace(params, (X.shape[0],), functools.partial(_mean_slopes, beta=beta))
+    ws.data_grads(X, y)
     g = ws.grads
-    data = float(smooth_l1(out, y, hyper.smooth_l1_beta).mean())
+    data = float(smooth_l1(ws.out, y, beta).mean())
     theta = _regularised(params)
-    _add_l2(g, theta, hyper.l2_lambda)
+    _add_l2(g.flat[: theta.size], theta, hyper.l2_lambda)
     return data + _l2_penalty(theta, hyper.l2_lambda), g
 
 
@@ -90,23 +96,35 @@ def nomu_loss_and_grads(uub_net, mean_net, exact_net, X, y, X_art, hyper, train_
                         only_term=None):
     """Learned-bound loss and its gradients for ``uub_net`` alone: the total
     with L2, or the one term ``only_term`` without it.  The total's
-    gradients come from the training pass ``_nomu_grads``; one term's from
-    its ``_loss_slopes`` through ``_backward``."""
+    gradients come from the training pass, ``_loss_slopes`` in a
+    ``_Workspace``; one term's from its row of ``_loss_slopes``' rows (see
+    ``SLOPE_ROWS``) through the same workspace's backward."""
     beta = train_hyper.smooth_l1_beta
     terms = nomu_loss_terms(uub_net, mean_net, exact_net, X, y, X_art, hyper, beta)
     XA, n = np.concatenate([X, X_art]), X.shape[0]
-    ws = _Workspace(uub_net, (n, len(X_art)))
     mean_art, exact_art = mean_net.forward(X_art), exact_net.forward(X_art)
+
+    def one_term(out, out_grad):
+        rows = np.empty((2, n)), np.empty((3, len(X_art)))
+        write_slopes = _loss_slopes(out, out_grad, n, hyper, beta, rows)
+        part, row = SLOPE_ROWS[only_term]
+        grad_part, slope = (out_grad[:n], out_grad[n:])[part], rows[part][row]
+
+        def slopes(*targets):
+            write_slopes(*targets)
+            out_grad[:] = 0.0
+            np.add(grad_part, slope, out=grad_part)
+
+        return slopes
+
     if only_term is None:
-        _nomu_grads(ws, uub_net, XA, y, mean_art, exact_art, hyper, beta)
-        theta = _regularised(uub_net)
-        _add_l2(ws.grads, theta, train_hyper.l2_lambda)
-        return sum(terms.values()) + _l2_penalty(theta, train_hyper.l2_lambda), ws.grads
-    out = forward_cache(uub_net, XA, buffers=ws.forward)[0]
-    slopes = _loss_slopes(out[:n], out[n:], y, mean_art, exact_art, hyper, beta)[only_term]
-    ws.out_grad[:] = 0.0
-    for part, d in zip((ws.out_grad[:n], ws.out_grad[n:]), slopes):
-        if d is not None:
-            part += d
-    _backward(ws, uub_net, XA)
-    return terms[only_term], ws.grads
+        loss = functools.partial(_loss_slopes, n=n, hyper=hyper, beta=beta)
+    else:
+        loss = one_term
+    ws = _Workspace(uub_net, (n, len(X_art)), loss)
+    ws.data_grads(XA, y, mean_art, exact_art)
+    if only_term is not None:
+        return terms[only_term], ws.grads
+    theta = _regularised(uub_net)
+    _add_l2(ws.grads.flat[: theta.size], theta, train_hyper.l2_lambda)
+    return sum(terms.values()) + _l2_penalty(theta, train_hyper.l2_lambda), ws.grads

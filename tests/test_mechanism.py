@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import iterauction as ia
 from iterauction import mechanism, wdp
@@ -19,6 +20,8 @@ from iterauction.mechanism import (
     vcg_payments,
 )
 from iterauction.mvnn import InitHyper, MvnnParams, init_params
+
+from _reference_mechanism import reference_run_mlca
 
 
 class TestInitialQueries:
@@ -356,3 +359,43 @@ class TestRunMlca:
     def test_config_json_rejects_malformed_values(self, obj, key):
         with pytest.raises(ia.InvalidInputError, match=key):
             MechanismConfig.from_json_obj(obj)
+
+
+@st.composite
+def reference_auctions(draw, acquisition):
+    """An instance, a mechanism config and a seed small enough for the
+    reference's brute-force queries and epoch-by-epoch fits."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(3, 5))
+    q_init, q_round = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    # no bidder runs out of bundles: at most 2^m - 1 queries each
+    rounds = draw(st.integers(1, min(2, (2**m - 1 - q_init) // q_round)))
+    config = MechanismConfig(
+        q_init=q_init, q_round=q_round, q_max=q_init + rounds * q_round,
+        acquisition=acquisition,
+        hidden_dims=draw(st.sampled_from([(4,), (5, 3)])),
+        train_hyper=ia.TrainHyper(epochs=draw(st.integers(1, 8))),
+        nomu_hyper=ia.NomuHyper(n_art=draw(st.sampled_from([3, 8]))),
+        skip=draw(st.booleans()),
+        early_stop=draw(st.booleans()),
+    )
+    instance = ia.generate_instance(ia.GeneratorConfig(n=n, m=m), draw(st.integers(0, 10**6)))
+    return instance, config, draw(st.integers(0, 10**6))
+
+
+class TestAgainstReferenceAuction:
+    @pytest.mark.parametrize("acquisition", mechanism.ACQUISITIONS)
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_outcome_equals_the_reference_loop(self, acquisition, data):
+        # the whole auction: fits, query WDPs with their reuse, the reported
+        # WDP and VCG, each against its reference, byte for byte
+        instance, config, seed = data.draw(reference_auctions(acquisition))
+        got = run_mlca(instance, config, seed)
+        want = reference_run_mlca(instance, config, seed)
+        assert got.allocation.tobytes() == want.allocation.tobytes()
+        assert got.allocation.dtype == want.allocation.dtype
+        assert got.payments.tobytes() == want.payments.tobytes()
+        assert got.reports.to_json_obj() == want.reports.to_json_obj()
+        assert [vars(log) for log in got.round_logs] == [vars(log) for log in want.round_logs]
+        assert (got.rounds_run, got.stopped_early) == (want.rounds_run, want.stopped_early)
+        assert repr(got.efficiency_loss) == repr(want.efficiency_loss)

@@ -12,6 +12,7 @@ from iterauction.mvnn import (
     ForwardBuffers,
     InitHyper,
     MvnnParams,
+    _product_spans,
     forward_cache,
     init_params,
     mixture_params,
@@ -166,12 +167,14 @@ class TestStack:
 class TestBlockedForward:
     """Training evaluates row blocks in one ``forward_cache`` call.  That is
     bit for bit one call per block only while the BLAS gives a gemm row the
-    same bits wherever it sits in the batch, and a one-column (gemv) row
-    the same bits wherever its position modulo ``_GEMV_ROW_UNROLL`` is
-    kept: the blocked call runs every gemv product per block, except over
-    equal blocks of a multiple of that many rows.  A BLAS that breaks
-    either rule fails here; blocks of 2 and 6 rows give other bits in one
-    gemv call than per block on OpenBLAS 0.3.31 (Haswell kernels)."""
+    same bits wherever it sits in the batch, outside the one-row tail of an
+    odd row count, and a one-column (gemv) row the same bits wherever its
+    position modulo ``_GEMV_ROW_UNROLL`` is kept: the blocked call runs a
+    hidden product per block unless every block is even, and every gemv
+    product per block, except over equal blocks of a multiple of that many
+    rows.  A BLAS that breaks either rule fails here; blocks of 2 and 6
+    rows give other bits in one gemv call than per block on OpenBLAS 0.3.31
+    (Haswell kernels), and so does a 7-row block in one gemm call."""
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("dims", [[5, 10, 10, 1], [8, 10, 10, 1], [18, 10, 10, 1], [8, 3, 1],
@@ -185,7 +188,7 @@ class TestBlockedForward:
         m = dims[0]
         X = np.concatenate([(rng.random((blocks[0], m)) < 0.5).astype(float),  # reports
                             rng.random((sum(blocks[1:]), m))])  # artificial points
-        out, O, Z = forward_cache(net, X, blocks)
+        out, O, Z = forward_cache(net, X, ForwardBuffers(net, X, blocks))
         start = 0
         for size in blocks:
             rows = slice(start, start + size)
@@ -202,10 +205,19 @@ class TestBlockedForward:
         ((8,), False)])
     def test_gemv_products_run_once_only_over_equal_aligned_blocks(self, blocks, whole):
         net = init_params([8, 10, 10, 1], InitHyper(), (0.1, 1.0), seed=0, skip=True)
-        buf = ForwardBuffers(net, (sum(blocks), 8), blocks)
+        buf = ForwardBuffers(net, np.empty((sum(blocks), 8)), blocks)
         assert buf.out_spans == (_WHOLE if whole else buf.spans)
         assert buf.spans == [slice(end - size, end) for size, end
                              in zip(blocks, itertools.accumulate(blocks))]
+
+    @pytest.mark.parametrize("blocks, fan_in, whole", [
+        ((2, 64), 10, True), ((64,) * 3, 18, True), ((12, 64), 31, True), ((14,), 8, True),
+        ((7, 128), 10, False), ((1, 64), 10, False), ((13,), 8, False), ((12, 64), 32, False),
+        ((2, 2, 1), 5, False)])
+    def test_gemm_products_run_once_only_over_even_blocks(self, blocks, fan_in, whole):
+        spans = ForwardBuffers(init_params([fan_in, 10, 1], InitHyper(), seed=0),
+                               np.empty((sum(blocks), fan_in)), blocks).spans
+        assert (_product_spans(fan_in, blocks, spans) is _WHOLE) == whole
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("dims", [[5, 10, 10, 1], [8, 3, 1], [40, 10, 1], [8, 40, 36, 1]])
@@ -224,7 +236,7 @@ class TestBlockedForward:
         m = dims[0]
         X = np.concatenate([(rng.random((blocks[0], m)) < 0.5).astype(float),
                             rng.random((sum(blocks[1:]), m))])
-        out, O, Z = forward_cache(stack, X, blocks)
+        out, O, Z = forward_cache(stack, X, ForwardBuffers(stack, X, blocks))
         assert out.shape == (len(nets), X.shape[0]) and Z[0] is X
         for e, net in enumerate(nets):
             start = 0

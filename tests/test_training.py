@@ -12,7 +12,6 @@ from iterauction.mvnn import (
     ForwardBuffers,
     InitHyper,
     MvnnParams,
-    forward_cache,
     init_params,
     random_containment_pair,
 )
@@ -20,13 +19,12 @@ from iterauction.training import (
     Adam,
     Grads,
     TrainHyper,
-    _backward,
     _best_epoch,
     _epoch_draws,
     _huber_slope,
     _kept,
     _layout_of,
-    _mean_data_grads,
+    _mean_slopes,
     _net,
     _train_loop,
     _Workspace,
@@ -155,10 +153,9 @@ class TestAdamProjection:
         opt = Adam(p, hyper)
         rng = np.random.default_rng(2)
         for _ in range(20):
-            g = Grads.zeros_like(p)
-            for arr in g.arrays():
-                arr += rng.normal(size=arr.shape)
-            opt.step(g)
+            for arr in opt.grads.arrays():
+                arr[...] = rng.normal(size=arr.shape)
+            opt.step()
             p.validate()  # weights >= 0, biases <= 0, cutoffs > 0
 
     def test_norm_adds_the_array_sums_as_a_left_fold(self):
@@ -177,10 +174,11 @@ class TestAdamProjection:
 
     def test_gradient_clipping_bounds_step_norm(self):
         p = init_params([4, 3, 1], InitHyper(), seed=5)
-        g = Grads.zeros_like(p)
+        opt = Adam(p, TrainHyper(clip_grad_norm=1.0))
+        g = opt.grads
         g.weights[0] += 1e6
         norm_before = g.global_norm()
-        Adam(p, TrainHyper(clip_grad_norm=1.0)).step(g)
+        opt.step()
         assert norm_before > 1.0 and g.global_norm() <= 1.0 + 1e-9
 
 
@@ -190,7 +188,7 @@ def param_bytes(p):
 
 def _arrays_of(obj):
     """Every array a workspace holds, through its lists, forward buffers
-    and gradients."""
+    and gradients: those it writes, and the views of the network it binds."""
     if isinstance(obj, np.ndarray):
         yield obj
     elif isinstance(obj, (list, tuple)):
@@ -249,19 +247,25 @@ class TestFlatLayout:
         blocks = (2, 3, 4)
         out_grad = np.linspace(-1.0, 1.0, 9)
 
+        def fixed_slopes(out, out_grad_buffer):
+            return lambda: np.copyto(out_grad_buffer, out_grad)
+
         def gradient_bytes(ws):
-            forward_cache(p, X, buffers=ws.forward)
-            ws.out_grad[:] = out_grad
-            _backward(ws, p, X)
+            ws.data_grads(X)
             return ws.grads.flat.tobytes()
 
-        fresh = gradient_bytes(_Workspace(p, blocks))
-        reused = _Workspace(p, blocks)
-        held = list(_arrays_of(reused))
+        def written(ws):  # the workspace's own arrays, not the network's
+            return [a for a in _arrays_of(ws)
+                    if not any(np.shares_memory(a, q) for q in param_arrays(p))]
+
+        fresh = gradient_bytes(_Workspace(p, blocks, fixed_slopes))
+        reused = _Workspace(p, blocks, fixed_slopes)
+        held = written(reused)
+        assert any(a is reused.X for a in held) and len(held) > 20
         for a in held:
             a[...] = True if a.dtype == bool else np.nan
         assert gradient_bytes(reused) == fresh
-        assert all(a is b for a, b in zip(_arrays_of(reused), held))
+        assert all(a is b for a, b in zip(written(reused), held))
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("trainable_cutoffs", [False, True])
@@ -272,13 +276,14 @@ class TestFlatLayout:
         ref = p.copy()
         cutoffs_before = [c.tobytes() for c in p.cutoffs]
         opt = Adam(p, hyper)
+        g = opt.grads
         state = {"t": 0, "m": {}, "v": {}}
         rng = np.random.default_rng(4)
         for scale in (0.1, 10.0, 0.5):  # the middle step is clipped
-            g, g_ref = Grads.zeros_like(p), Grads.zeros_like(ref)
+            g_ref = Grads.zeros_like(ref)
             for a, b in zip(g.arrays(), g_ref.arrays()):
                 a[...] = b[...] = rng.normal(scale=scale, size=a.shape)
-            opt.step(g)
+            opt.step()
             reference_adam_step(ref, g_ref, state, hyper)
             assert param_bytes(p) == param_bytes(ref)
             assert g.flat.tobytes() == np.concatenate(
@@ -331,9 +336,9 @@ class TestTrainMean:
             rng = np.random.default_rng(0)
             params = init_params([5, 6, 1], InitHyper(), (0.1, 1.0), rng)
             perms = _epoch_draws(rng, epochs, len(y))
-            grads = functools.partial(_mean_data_grads, hyper=TrainHyper(epochs=epochs))
+            loss = functools.partial(_mean_slopes, beta=TrainHyper().smooth_l1_beta)
             thetas = _train_loop(params, TrainHyper(epochs=epochs), (len(y),),
-                                 zip(X[perms], y[perms]), grads)
+                                 zip(X[perms], y[perms]), loss)
             assert thetas.shape == (epochs + 1, _layout_of(params).size)
             assert not any(np.shares_memory(thetas, a) for a in param_arrays(params))
             return thetas, _layout_of(params)
@@ -390,6 +395,12 @@ class TestTrainHyper:
         {"cutoff_init_range": (-0.1, 1.0)},
         {"cutoff_init_range": (float("nan"), 1.0)},
         {"cutoff_init_range": (0.1, float("inf"))},
+        # a NaN threshold would turn the retry off (r2 < nan is false), and a
+        # string would fail train_mean's comparison
+        {"retrain_r2_threshold": float("nan")},
+        {"retrain_r2_threshold": "0.9"},
+        {"retrain_r2_threshold": None},
+        {"retrain_r2_threshold": True},
     ])
     def test_rejects_values_that_break_or_reverse_training(self, bad):
         with pytest.raises(InvalidInputError):
@@ -398,6 +409,11 @@ class TestTrainHyper:
     def test_accepts_the_boundaries(self):
         h = TrainHyper(epochs=np.int64(3), clip_grad_norm=0.0, cutoff_init_range=[0.0, 0.0])
         assert h.cutoff_init_range == (0.0, 0.0)
+
+    @pytest.mark.parametrize("threshold", [0.9, 0, -1.5, np.float64(0.5), float("-inf"),
+                                           float("inf")])
+    def test_accepts_any_real_r2_threshold(self, threshold):
+        assert TrainHyper(retrain_r2_threshold=threshold).retrain_r2_threshold == threshold
 
 
 def _random_reports(m, k, seed):

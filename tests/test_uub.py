@@ -16,7 +16,7 @@ from iterauction.training import (
     TrainHyper,
     _epoch_draws,
     _layout_of,
-    _mean_data_grads,
+    _mean_slopes,
     _net,
     _train_loop,
     train_mean,
@@ -36,6 +36,7 @@ from iterauction.uub import (
 )
 
 from _gradcheck import (
+    SLOPE_ROWS,
     nomu_loss_and_grads,
     preactivations_kink_free,
     residuals_kink_free,
@@ -276,8 +277,21 @@ class TestLossTermsAgainstReference:
             with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
                 ref = reference_loss_terms(out_tr, out_art, y, mean_art, exact_art, nh, beta)
                 values = _loss_values(out_tr, out_art, y, mean_art, exact_art, nh, beta)
-                slopes = _loss_slopes(out_tr, out_art, y, mean_art, exact_art, nh, beta)
-            assert list(values) == list(slopes) == list(ref)
+                rows, out_grad = (np.empty((2, n)), np.empty((3, n_art))), np.empty(n + n_art)
+                _loss_slopes(np.concatenate([out_tr, out_art]), out_grad, n, nh, beta,
+                             rows)(y, mean_art, exact_art)
+                # the output gradient: zeros, then each term's slope in term order
+                want = np.zeros(n), np.zeros(n_art)
+                for _, *term_slopes in ref.values():
+                    for part, slope in zip(want, term_slopes):
+                        part += slope
+            assert _bits(out_grad) == _bits(np.concatenate(want))
+            # each term's (d/d out_tr, d/d out_art): its row of the slopes, None for the other
+            slopes = {}
+            for name, (part, row) in SLOPE_ROWS.items():
+                slopes[name] = [None, None]
+                slopes[name][part] = rows[part][row]
+            assert list(values) == list(SLOPE_ROWS) == list(ref)
             for name, (value, *ref_slopes) in ref.items():
                 assert _bits(values[name]) == _bits(value), name
                 # the reference's scalar 0.0 is a term's None: no dependence on that output
@@ -356,7 +370,7 @@ class TestTrainUub:
             params = init_params(dims, InitHyper(), (0.1, 1.0), rng, skip=skip)
             perms = _epoch_draws(rng, th.epochs, k)
             thetas = _train_loop(params, th, (k,), zip(X[perms], y[perms]),
-                                 lambda ws, p, xb, yb: _mean_data_grads(ws, p, xb, yb, th))
+                                 functools.partial(_mean_slopes, beta=th.smooth_l1_beta))
             X_eval = rng.uniform(0.0, 1.0, size=(128, m))
             layout = _layout_of(params)
             scores = nomu_loss(_net(layout, thetas), mean, exact, X, y, X_eval, nh,

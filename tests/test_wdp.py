@@ -784,6 +784,24 @@ class TestMilpEncoding:
         assert (sol.allocation == exact.allocation).all() and sol.objective == exact.objective
 
 
+    def test_objective_adds_the_nets_values_left_to_right(self, monkeypatch):
+        # three nets worth 1e16, 1 and 1 on their items: a left fold loses
+        # each 1, where the builtin sum of floats (compensated from Python
+        # 3.12 on) would give 1e16 + 2
+        nets = [MvnnParams(weights=[np.diag([1e16, 1.0, 1.0])[[i]]], biases=[], cutoffs=[])
+                for i in range(3)]
+        values = [net.forward(np.eye(3)[i]) for i, net in enumerate(nets)]
+        assert values == [1e16, 1.0, 1.0] and math.fsum(values) != 1e16
+
+        def one_item_each(model):
+            return np.concatenate([np.eye(3).ravel(), np.zeros(len(model.var_names) - 9)]), 0.0, 0.0
+
+        monkeypatch.setattr(wdp, "solve_model", one_item_each)
+        sol = milp_wdp(nets)
+        assert sol.allocation.tolist() == np.eye(3, dtype=int).tolist()
+        assert sol.objective == 1e16
+
+
 class TestLpRoundTrip:
     def test_emit_parse_solve_agrees(self):
         rng = np.random.default_rng(10)
