@@ -5,7 +5,7 @@ bidder to maximize the sum of the bidders' network-predicted values.
 This script solves the same instance with the exhaustive oracle, the
 native branch-and-bound solver, and a mixed-integer encoding of the
 networks handed to an LP/MILP solver -- and shows all three agree. It
-also writes the encoding to an LP-format text file and reads it back.
+also writes the encoding as LP-format text for other solvers.
 """
 
 import numpy as np
@@ -48,16 +48,11 @@ print(f"MILP (pruned):    welfare {milp.objective:.6f}  status {milp.status}")
 print(f"max pairwise welfare disagreement: "
       f"{max(abs(brute.objective - bnb.objective), abs(brute.objective - milp.objective)):.2e}")
 
-# --- LP text round trip ---------------------------------------------------
+# --- LP text ---------------------------------------------------------------
 model = encode_milp(nets)
 text = ia.emit_lp_file(model)
-reparsed = ia.parse_lp_file(text)
 print(f"LP file: {len(text.splitlines())} lines, "
       f"{len(model.var_names)} vars, {len(model.constraints)} constraints")
-_, obj_direct, _ = ia.solve_model(model)
-_, obj_parsed, _ = ia.solve_model(reparsed)
-print(f"reparsed model reaches the same optimum: "
-      f"|diff| = {abs(obj_direct - obj_parsed):.2e}")
 print(f"emission is deterministic: {ia.emit_lp_file(encode_milp(nets)) == text}")
 
 from collections import Counter

@@ -59,7 +59,6 @@ from .wdp import (
     emit_lp_file,
     encode_milp,
     milp_wdp,
-    parse_lp_file,
     solve_model,
     solve_reported_wdp,
     solve_wdp,
@@ -105,7 +104,6 @@ __all__ = [
     "next_query",
     "nomu_loss",
     "paired_one_sided_ttest",
-    "parse_lp_file",
     "reported_welfare",
     "run_experiment",
     "run_mlca",

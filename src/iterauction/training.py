@@ -486,11 +486,27 @@ def _train_loop(params: MvnnParams, hyper: TrainHyper, blocks: tuple[int, ...], 
 class _Kept(threading.local):
     """Float64 arrays kept from fit to fit, per thread: one flat array per
     name, grown to the largest size asked for, of which ``take`` views the
-    first entries in the shape asked for.  A fit's scoring arrays and
-    batches run to hundreds of KB; made afresh, the allocator maps them
-    anew, and their pages fault in again, on every fit.  They live here,
-    not with a caller, because ``train_uub``'s callers make one call per
-    fit; a fit writes every entry it reads, so no fit sees another's."""
+    first entries in the shape asked for.  Made afresh, an array above
+    glibc's 128 KiB mmap threshold is mapped anew, and its pages fault in
+    again, on every fit.  They live here, not with a caller, because
+    ``train_uub``'s callers make one call per fit; a fit writes every
+    entry it reads, so no fit sees another's.
+
+    ``uub`` keeps three slots, each with the median slowdown of a
+    benchmark op when it is dropped (four alternated benchmark runs on a
+    2-vCPU VM):
+
+    - ``"batches"``, every epoch's [permuted reports; points], copied into
+      the workspace's input each epoch: gathering the rows straight into
+      that input instead reads 1.007x on ``fit-m18``, for 0.6-0.8 MB less
+      peak RSS;
+    - ``"scores"``, the scoring pass's forward arrays: 1.05x on ``fit-m18``;
+    - ``"frozen"``, the frozen networks' forward arrays in
+      ``uub._frozen_outputs``: 1.03x on ``mlca-n3m8``, whose chunks are
+      above glibc's 128 KiB mmap threshold (0.99x on ``fit-m18``).
+
+    Every epoch's artificial points are made afresh: keeping them read
+    1.00x on ``fit-m18`` and 0.99x on ``mlca-n3m8``."""
 
     def __init__(self):
         self.flats: dict = {}

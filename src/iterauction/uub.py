@@ -287,8 +287,8 @@ def train_uub(reports: list[tuple[np.ndarray, float]], mean_net: MvnnParams, exa
     sample] against the frozen networks' outputs on that sample (one
     ``forward`` each per fit).  ``forward_cache``'s row rules and per-row
     sums keep every score bit for bit what one ``nomu_loss`` per epoch
-    gives, and ``_best_epoch`` keeps the first lowest.  The batches, the
-    points and the scoring pass's arrays are kept for the next fit (see
+    gives, and ``_best_epoch`` keeps the first lowest.  The batches and
+    the scoring pass's arrays are kept for the next fit (see
     ``training._Kept``).
     """
     X, y = report_arrays(reports, layer_dims[0])
@@ -298,7 +298,7 @@ def train_uub(reports: list[tuple[np.ndarray, float]], mean_net: MvnnParams, exa
     params = init_params(layer_dims, init_hyper, train_hyper.cutoff_init_range, rng, skip=skip)
 
     X_eval = rng.uniform(0.0, 1.0, size=(max(n_art, 128), m))
-    arts = _kept.take("arts", (epochs, n_art, m))
+    arts = np.empty((epochs, n_art, m))
     perms = _epoch_draws(rng, epochs, n, arts)
     beta = train_hyper.smooth_l1_beta
 

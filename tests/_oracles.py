@@ -1,6 +1,7 @@
 """Reference constructions the tests compare the library against: a check of
-the MILP encoding at one bundle, and the generic initialiser the mixture
-initialisation is measured against."""
+the MILP encoding at one bundle, a reader of the LP text the library
+writes, and the generic initialiser the mixture initialisation is measured
+against."""
 
 import numpy as np
 
@@ -41,6 +42,46 @@ def check_encoding_at(net: MvnnParams, bundle: np.ndarray) -> bool:
     lo = np.concatenate([row_lb, model.var_lb]) - FEASIBILITY_TOL
     hi = np.concatenate([row_ub, model.var_ub]) + FEASIBILITY_TOL
     return bool(((vals >= lo) & (vals <= hi)).all())
+
+
+def read_emitted_lp(text: str) -> wdp.WdpModel:
+    """The model in LP text that ``wdp.emit_lp_file`` wrote, for the
+    round-trip tests.  Not a parser of LP files: it relies on that writer's
+    layout (its section headers, ``sign coefficient name`` terms, one-sided
+    rows and two-sided bounds) and checks none of it.  Columns are made in
+    name order."""
+
+    def terms(expr):
+        tokens = expr.split()
+        if len(tokens) == 2:  # an empty objective, ``0 name``
+            tokens.insert(0, "+")
+        return {name: float(sign + value) for sign, value, name in zip(*[iter(tokens)] * 3)}
+
+    model, section, objective, rows, columns = wdp.WdpModel(), None, {}, [], {}
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("\\ objective_constant "):
+            model.objective_const = float(line.split()[-1])
+        elif line in ("Maximize", "Subject To", "Bounds", "Binary", "End"):
+            section = line
+        elif section == "Maximize":
+            objective = terms(line.split(":", 1)[1])
+        elif section == "Subject To":
+            name, rest = line.split(":", 1)
+            sense = "<=" if "<=" in rest else ">="
+            body, rhs = rest.rsplit(sense, 1)
+            lb, ub = (-np.inf, float(rhs)) if sense == "<=" else (float(rhs), np.inf)
+            rows.append((name, terms(body), lb, ub))
+        elif section == "Bounds":
+            lo, name, hi = line.split(" <= ")
+            columns[name] = (float(lo), float(hi), False)
+        elif section == "Binary":
+            columns[line] = (0.0, 1.0, True)
+    col = {name: model.add_var(name, *columns[name]) for name in sorted(columns)}
+    for name, coeffs, lb, ub in rows:
+        model.add_constraint(name, {col[v]: w for v, w in coeffs.items()}, lb, ub)
+    model.objective = {col[v]: w for v, w in objective.items()}
+    return model
 
 
 def init_params_generic(

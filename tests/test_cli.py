@@ -9,6 +9,8 @@ import iterauction as ia
 from iterauction.cli import main
 from iterauction.mvnn import InitHyper, init_params
 
+from _oracles import read_emitted_lp
+
 
 class TestCli:
     def test_generate_writes_instance(self, tmp_path):
@@ -113,7 +115,7 @@ class TestCli:
         np_path.write_text(json.dumps({"networks": [p.to_json_obj() for p in nets]}))
         out = tmp_path / "model.lp"
         assert main(["export-milp", "--networks", str(np_path), "--out", str(out)]) == 0
-        model = ia.parse_lp_file(out.read_text())
+        model = read_emitted_lp(out.read_text())
         _, obj, _ = ia.solve_model(model)
         ref = ia.milp_wdp(nets)
         assert abs(obj - ref.objective) <= 1e-6

@@ -437,14 +437,18 @@ class TestAgainstEpochLoop:
     epoch into one forward pass and step Adam on one flat vector.  Each must
     give, byte for byte, the network of the epoch-by-epoch reference loop."""
 
-    # the last architecture's fan-ins of 40 and 36 can take OpenBLAS's
-    # small-matrix kernel (see mvnn._SMALL_KERNEL_FAN_IN)
-    @pytest.mark.parametrize("dims", [[5, 10, 10, 1], [8, 10, 10, 1], [8, 40, 36, 1]],
-                             ids=["5", "8", "8-wide"])
-    @pytest.mark.parametrize("k", [1, 2, 7, 20])
+    # k reports for each architecture: the fan-ins of 40 and 36 of
+    # "8-wide" can take OpenBLAS's small-matrix kernel (see
+    # mvnn._SMALL_KERNEL_FAN_IN); "40-18" is the fit-m18 benchmark's size,
+    # whose exact bound, frozen in train_uub, is 40 wide
+    @pytest.mark.parametrize("k, dims", [
+        *(pytest.param(k, dims, id=f"{k}-{name}") for k in (1, 2, 7, 20)
+          for name, dims in (("5", [5, 10, 10, 1]), ("8", [8, 10, 10, 1]),
+                             ("8-wide", [8, 40, 36, 1]))),
+        pytest.param(40, [18, 10, 10, 1], id="40-18")])
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("trainable_cutoffs", [False, True])
-    def test_fits_equal_the_reference_loop(self, dims, k, skip, trainable_cutoffs):
+    def test_fits_equal_the_reference_loop(self, k, dims, skip, trainable_cutoffs):
         m = dims[0]
         reports = _random_reports(m, k, seed=10 * m + k)
         th = TrainHyper(epochs=12, trainable_cutoffs=trainable_cutoffs)
